@@ -12,6 +12,7 @@ drift.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,58 +84,54 @@ class TrialConfig:
 
 
 # ---------------------------------------------------------------------------
-# hot-loop arithmetic: validation-free closures over the summand table
-#
-# The grid loops burn millions of exact rational operations; gmpy2's mpq
-# is an order of magnitude faster than Fraction at identical exactness,
-# so the falsifiers convert to it at the boundary when it is available.
-
-try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover
-    _q = Fraction
+# grid-loop kernel: a value is n/(d*D) with d > 0, never reduced
 
 
-def _to_rat(v) -> Rat:
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(int(v.numerator), int(v.denominator))
+def scaled_pair_ops(
+    T: OrdinalSumTNorm, pts: Sequence[Rat], vals: Sequence[Rat]
+) -> tuple[int, list[int], list[int], Callable, Callable]:
+    """(D, pts*D, vals*D, conj, res) for the grid loops, on integers only.
 
+    ``D`` is the lcm of the denominators of the points, the values and the
+    summand endpoints.  ``res(a, b)`` is the residuum a -> b for scaled
+    a > b; ``conj(f, n, d)`` is the t-norm of a scaled value f and the
+    value n/(d*D).  Both return a pair (n, d) and re-derive the ordinal-sum
+    formulas without calling ``T``.
+    """
+    ends = [e for s in T.summands for e in (s.lo, s.hi)]
+    D = math.lcm(*(q.denominator for q in (*pts, *vals, *ends)))
 
-def fast_pair_ops(T: OrdinalSumTNorm) -> tuple[Callable, Callable]:
-    """(conj, residuum) closures for grid loops; inputs must be in [0,1]
-    and of the same numeric type as the returned constants (`_q`)."""
+    def scale(q: Rat) -> int:
+        return q.numerator * (D // q.denominator)
+
     summs = tuple(
-        (_q(s.lo), _q(s.hi), s.kind is SummandKind.LUKASIEWICZ) for s in T.summands
+        (scale(s.lo), scale(s.hi), s.kind is SummandKind.LUKASIEWICZ) for s in T.summands
     )
-    one = _q(1)
 
-    def conj(x, y):
-        if x > y:
-            x, y = y, x
+    def conj(f, n, d):
+        fd = f * d
         for lo, hi, luk in summs:
-            if lo > x:
+            if (lo * d > n) if fd > n else (lo > f):  # lo above the smaller argument
                 break
-            if y <= hi:
+            if (fd if fd > n else n) <= hi * d:
                 if luk:
-                    v = x + y - hi
-                    return v if v > lo else lo
-                return lo + (x - lo) * (y - lo) / (hi - lo)
-        return x
+                    v = fd + n - hi * d
+                    return (v, d) if v > lo * d else (lo, 1)
+                w = hi - lo
+                return lo * d * w + (f - lo) * (n - lo * d), d * w
+        return (n, d) if fd > n else (f, 1)
 
-    def res(x, y):
-        if x <= y:
-            return one
+    def res(a, b):
         for lo, hi, luk in summs:
-            if lo > y:
+            if lo > b:
                 break
-            if x <= hi:
+            if a <= hi:
                 if luk:
-                    return hi - x + y
-                return lo + (hi - lo) * (y - lo) / (x - lo)
-        return y
+                    return hi - a + b, 1
+                return lo * (a - lo) + (hi - lo) * (b - lo), a - lo
+        return b, 1
 
-    return conj, res
+    return D, [scale(p) for p in pts], [scale(v) for v in vals], conj, res
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +229,18 @@ def falsify_lower_set(T: OrdinalSumTNorm, phi: PwFn, grid: GridSpec) -> CheckRep
                 ),
                 detail="definitional falsifier (monotone part)",
             )
-    conj, res = fast_pair_ops(T)
-    qpts = [_q(p) for p in pts]
-    qvals = [_q(v) for v in vals]
+    D, P, V, conj, res = scaled_pair_ops(T, pts, vals)
     n = len(pts)
     for ix in range(n):
-        x = qpts[ix]
-        fx = qvals[ix]
+        x = P[ix]
+        fx = V[ix]
         for iy in range(ix + 1, n):
-            lhs = conj(fx, res(qpts[iy], x))
-            if lhs > qvals[iy]:
+            num, den = conj(fx, *res(P[iy], x))
+            if num > V[iy] * den:
+                lhs = Fraction(num, den * D)
                 return violated(
                     "DEF",
-                    PairWitness(
-                        pts[ix], pts[iy], vals[ix], vals[iy], _to_rat(lhs), vals[iy], "<="
-                    ),
+                    PairWitness(pts[ix], pts[iy], vals[ix], vals[iy], lhs, vals[iy], "<="),
                     detail=f"definitional falsifier, grid n={grid.resolution}",
                 )
     return CheckReport(
@@ -267,20 +261,17 @@ def falsify_upper_set(T: OrdinalSumTNorm, psi: PwFn, grid: GridSpec) -> CheckRep
                 ),
                 detail="definitional falsifier (monotone part)",
             )
-    conj, res = fast_pair_ops(T)
-    qpts = [_q(p) for p in pts]
-    qvals = [_q(v) for v in vals]
+    D, P, V, conj, res = scaled_pair_ops(T, pts, vals)
     for ix in range(len(pts) - 1, -1, -1):
-        x = qpts[ix]
-        fx = qvals[ix]
+        x = P[ix]
+        fx = V[ix]
         for iy in range(ix):
-            lhs = conj(res(x, qpts[iy]), fx)
-            if lhs > qvals[iy]:
+            num, den = conj(fx, *res(x, P[iy]))
+            if num > V[iy] * den:
+                lhs = Fraction(num, den * D)
                 return violated(
                     "DEF",
-                    PairWitness(
-                        pts[ix], pts[iy], vals[ix], vals[iy], _to_rat(lhs), vals[iy], "<="
-                    ),
+                    PairWitness(pts[ix], pts[iy], vals[ix], vals[iy], lhs, vals[iy], "<="),
                     detail=f"definitional falsifier, grid n={grid.resolution}",
                 )
     return CheckReport(

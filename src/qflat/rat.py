@@ -9,6 +9,7 @@ equality checks everywhere are exact and tolerance-free.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 Rat = Fraction
@@ -37,7 +38,9 @@ class ExactnessError(ArithmeticError):
 def parse_rat(text: str) -> Rat:
     """Parse ``p/q``, an integer, or a decimal literal into an exact Rat.
 
-    Decimals convert losslessly: ``0.3`` becomes ``3/10``.
+    Decimals convert losslessly: ``0.3`` becomes ``3/10``.  A numerator or
+    denominator longer than the interpreter's int-to-str digit limit is
+    rejected, since the value could never be printed.
     """
     s = text.strip()
     if not s:
@@ -45,12 +48,19 @@ def parse_rat(text: str) -> Rat:
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        if "." in s or "e" in s or "E" in s:
-            return Fraction(s)
-        return Fraction(int(s))
+            value = Fraction(int(num), int(den))
+        elif "." in s or "e" in s or "E" in s:
+            value = Fraction(s)
+        else:
+            value = Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    big = max(abs(value.numerator), value.denominator)
+    # 10**limit has more than 3*limit bits: the power is built only when needed
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ParseError(f"rational literal {text!r} has more than {limit} digits")
+    return value
 
 
 def fmt_rat(value: Rat) -> str:

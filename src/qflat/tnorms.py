@@ -36,9 +36,6 @@ class Summand:
                 " nondegenerate interval"
             )
 
-    def contains_closure(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
     def interior(self, x: Rat) -> bool:
         return self.lo < x < self.hi
 

@@ -70,6 +70,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "nosuch", "conj", "1/2", "1/2")
         assert code == 2
 
+    @pytest.mark.parametrize("literal", ["1e999999", "1e-999999"])
+    def test_unprintable_literal_exit_2(self, capsys, literal):
+        code, out, err = run(capsys, "eval", "godel", "conj", literal, "1/2")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and "Traceback" not in err
+
 
 class TestCheck:
     def test_flat_principal_holds(self, capsys, spec_path):
@@ -182,6 +188,10 @@ class TestSpecFile:
 
         with pytest.raises(ParseError):
             parse_specfile("fn a\npoint 0 : 1\npoint 1 : 1\nfn a\npoint 0 : 0\npoint 1 : 0\n")
+
+    def test_directory_spec_exit_3(self, capsys, tmp_path):
+        code, _, err = run(capsys, "--spec", str(tmp_path), "verify", "--suite", "lemma37")
+        assert code == 3 and err.startswith("domain error:")
 
     def test_stdin_spec(self, spec_path):
         proc = subprocess.run(

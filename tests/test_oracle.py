@@ -2,6 +2,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+import pytest
+
 from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, pwfn
 from qflat.ideal import check_flat
 from qflat.oracle import (
@@ -15,13 +17,15 @@ from qflat.oracle import (
     lemma37_suite,
     mutated_flat,
     random_lower,
+    random_pwfn,
     random_tnorm,
     random_upper,
+    scaled_pair_ops,
     verify_adjunction,
     verify_sandwich,
 )
 from qflat.order import check_lower_set, check_upper_set, principal_lower
-from qflat.tnorms import OrdinalSumTNorm
+from qflat.tnorms import OrdinalSumTNorm, SummandKind, make_tnorm
 
 
 class TestVerifyAdjunction:
@@ -95,6 +99,75 @@ class TestFalsifiers:
         from qflat.order import principal_upper
 
         assert falsify_upper_set(t4, principal_upper(t4, F(2, 5)), GridSpec(64)).holds
+
+
+def _tnorm_over_997(rng):
+    """Up to four summands on cuts k/997, consecutive ones touching."""
+    ends = [F(0)] + [F(c, 997) for c in sorted(rng.sample(range(1, 997), 3))] + [F(1)]
+    return make_tnorm(
+        (ends[i], ends[i + 1], rng.choice(list(SummandKind)))
+        for i in range(4)
+        if rng.randrange(4)
+    )
+
+
+def _kernel_matches_definition(T, f, grid, lower):
+    """Every pair the falsifier visits, recomputed with T.conj/T.residuum.
+
+    Returns the falsifier's verdict after checking that the kernel's value
+    of each pair equals the definitional one, that a violation's witness
+    lhs is that exact Fraction, and that the first definitional violation
+    in pair order is the one reported.
+    """
+    pts = grid.points(T, f)
+    vals = [f.eval(p) for p in pts]
+    D, P, V, conj, res = scaled_pair_ops(T, pts, vals)
+    n = len(pts)
+    if lower:
+        pairs = [(ix, iy) for ix in range(n) for iy in range(ix + 1, n)]
+    else:
+        pairs = [(ix, iy) for ix in range(n - 1, -1, -1) for iy in range(ix)]
+    first = None
+    for ix, iy in pairs:
+        if lower:
+            num, den = conj(V[ix], *res(P[iy], P[ix]))
+            want = T.conj(vals[ix], T.residuum(pts[iy], pts[ix]))
+        else:
+            num, den = conj(V[ix], *res(P[ix], P[iy]))
+            want = T.conj(T.residuum(pts[ix], pts[iy]), vals[ix])
+        assert den > 0 and F(num, den * D) == want, (T.describe(), pts[ix], pts[iy])
+        if first is None and want > vals[iy]:
+            first = (pts[ix], pts[iy], want)
+    rep = (falsify_lower_set if lower else falsify_upper_set)(T, f, grid)
+    if not rep.holds:
+        w = rep.witness
+        if lower:
+            definitional = T.conj(f.eval(w.a), T.residuum(w.b, w.a))
+        else:
+            definitional = T.conj(T.residuum(w.a, w.b), f.eval(w.a))
+        assert type(w.lhs) is F and w.lhs == definitional > w.rhs
+    if "monotone" not in rep.detail:
+        assert rep.holds == (first is None)
+        if first is not None:
+            assert (w.a, w.b, w.lhs) == first
+    return rep.holds
+
+
+class TestGridKernel:
+    @pytest.mark.parametrize("resolution", [16, 32, 64])
+    def test_matches_definition(self, resolution):
+        rng = random.Random(resolution)
+        verdicts = set()
+        for trial in range(12):
+            T = random_tnorm(rng) if trial % 2 else _tnorm_over_997(rng)
+            for lower in (True, False):
+                if trial % 3 == 0:
+                    f = random_pwfn(rng)
+                else:
+                    f = (random_lower if lower else random_upper)(T, rng)
+                grid = GridSpec(resolution)
+                verdicts.add(_kernel_matches_definition(T, f, grid, lower))
+        assert verdicts == {True, False}
 
 
 class TestFalsifyFlat:

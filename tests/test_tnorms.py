@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflat import GODEL, LUKASIEWICZ, PRODUCT, DomainError, make_tnorm
+from qflat import GODEL, LUKASIEWICZ, PRODUCT, DomainError, ParseError, make_tnorm
+from qflat.rat import fmt_rat, parse_rat
 from qflat.tnorms import Frame, SummandKind, builtin, parse_tnorm_body, print_tnorm
 
 from conftest import brute_residuum, grid
@@ -218,3 +220,17 @@ class TestTextFormat:
 
     def test_zero_summands_is_min(self):
         assert parse_tnorm_body("custom", []) == GODEL
+
+
+class TestParseRat:
+    def test_digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit the interpreter allows
+        try:
+            assert fmt_rat(parse_rat("1e639")) == "1" + "0" * 639
+            assert fmt_rat(parse_rat("1e-639")) == "1/1" + "0" * 639
+            for text in ("1e640", "1e-640", "0." + "0" * 639 + "1"):
+                with pytest.raises(ParseError):
+                    parse_rat(text)
+        finally:
+            sys.set_int_max_str_digits(old)
