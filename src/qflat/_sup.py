@@ -12,7 +12,7 @@ population built by this package never produces one.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rat import ONE, ZERO, ExactnessError, Rat, rat_sqrt
 
@@ -106,15 +106,12 @@ def sturm_root_count(p: Poly, u: Rat, v: Rat) -> int:
     return va - vb
 
 
-class SupOutcome:
-    __slots__ = ("value", "attained")
-
-    def __init__(self, value: Rat, attained: bool):
-        self.value = value
-        self.attained = attained
+class SupResult(NamedTuple):
+    value: Rat
+    attained: bool
 
 
-def sup_ratfunc(num: Poly, den: Poly, u: Rat, v: Rat) -> SupOutcome:
+def sup_ratfunc(num: Poly, den: Poly, u: Rat, v: Rat) -> SupResult:
     """Supremum of N/D over [u, v]; D must be nonzero on [u, v].
 
     ``attained`` reports whether the maximum is achieved strictly inside
@@ -122,7 +119,7 @@ def sup_ratfunc(num: Poly, den: Poly, u: Rat, v: Rat) -> SupOutcome:
     """
     num, den = p_trim(num), p_trim(den)
     if not num:
-        return SupOutcome(ZERO, True)
+        return SupResult(ZERO, True)
 
     def h(x: Rat) -> Rat:
         return p_eval(num, x) / p_eval(den, x)
@@ -130,7 +127,7 @@ def sup_ratfunc(num: Poly, den: Poly, u: Rat, v: Rat) -> SupOutcome:
     w = p_sub(p_mul(p_deriv(num), den), p_mul(num, p_deriv(den)))
     cands: list[tuple[Rat, bool]] = [(h(u), False), (h(v), False)]
     if not w:
-        return SupOutcome(h(u), True)
+        return SupResult(h(u), True)
     deg = len(w) - 1
     if deg == 0:
         pass  # strictly monotone
@@ -147,7 +144,7 @@ def sup_ratfunc(num: Poly, den: Poly, u: Rat, v: Rat) -> SupOutcome:
             )
     best = max(val for val, _ in cands)
     attained = any(flag for val, flag in cands if val == best)
-    return SupOutcome(best, attained)
+    return SupResult(best, attained)
 
 
 def _quad_max_roots(w: Poly, u: Rat, v: Rat) -> list[Rat]:

@@ -64,7 +64,10 @@ class _ExprParser:
         self.spec = spec
 
     def parse(self) -> PwFn:
-        fn = self._expr()
+        try:
+            fn = self._expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         self._ws()
         if self.pos != len(self.text):
             raise ParseError(f"trailing input in expression: {self.text[self.pos:]!r}")

@@ -15,12 +15,11 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Optional
 
-from ._sup import SupOutcome, linfrac_ratfunc, p_add, p_mul, p_scale, p_sub, sup_ratfunc
+from ._sup import SupResult, linfrac_ratfunc, p_add, p_mul, p_scale, p_sub, sup_ratfunc
 from .pwfn import (
     Breakpoint,
     LinFrac,
     PwFn,
-    SupResult,
     affine_piece,
     affine_transport,
     const_piece,
@@ -134,27 +133,6 @@ def _piece_over(f: PwFn, p: Rat) -> LinFrac:
     return f.pieces[min(i, len(f.pieces) - 1)]
 
 
-def _aligned(
-    T: OrdinalSumTNorm, phi: PwFn, psi: PwFn
-) -> tuple[list[Rat], PwFn, PwFn]:
-    """Common positions refined so each summand-branch is constant per gap."""
-    pos = sorted({bp.x for bp in phi.breakpoints} | {bp.x for bp in psi.breakpoints})
-    phi2, psi2 = phi.refine(pos), psi.refine(pos)
-    levels = T.idempotent_levels()
-    extra: set[Rat] = set()
-    if levels:
-        for f in (phi2, psi2):
-            for i, piece in enumerate(f.pieces):
-                u, v = f.breakpoints[i].x, f.breakpoints[i + 1].x
-                for lv in levels:
-                    x = _solve_eq(piece, lv)
-                    if x is not None and u < x < v:
-                        extra.add(x)
-    if extra:
-        phi2, psi2 = phi2.refine(extra), psi2.refine(extra)
-    return [bp.x for bp in phi2.breakpoints], phi2, psi2
-
-
 def _solve_eq(piece: LinFrac, k: Rat) -> Optional[Rat]:
     den = piece.a - k * piece.c
     if den == 0:
@@ -162,33 +140,24 @@ def _solve_eq(piece: LinFrac, k: Rat) -> Optional[Rat]:
     return (k * piece.d - piece.b) / den
 
 
-def _min_gap_sup(fp: LinFrac, gp: LinFrac, u: Rat, v: Rat) -> SupOutcome:
-    """Sup of min(f, g) over the open gap (u, v), interior attainment flagged."""
-    xs = [u] + crossings(fp, gp, u, v) + [v]
-    best: Optional[Rat] = None
-    attained = False
-    for p, q in zip(xs, xs[1:]):
-        piece = fp
-        for t in ((p + q) / 2, p + (q - p) / 4, p + 3 * (q - p) / 4):
-            fa, ga = fp(t), gp(t)
-            if fa != ga:
-                piece = fp if fa < ga else gp
-                break
-        for point, interior in ((p, p != u), (q, q != v)):
-            val = piece(point)
-            if best is None or val > best:
-                best, attained = val, interior
-            elif val == best:
-                attained = attained or interior
-        if piece.is_const and best == piece(p):
-            attained = True
-    assert best is not None
-    return SupOutcome(best, attained)
+def _min_gap_sup(fp: LinFrac, gp: LinFrac, u: Rat, v: Rat) -> SupResult:
+    """Sup of min(f, g) over the open gap (u, v), interior attainment flagged.
+
+    Between crossings min(f, g) is one piece, monotone or constant, so the
+    supremum sits at u, v or a crossing; a sub-gap's midpoint reaches it
+    only when the piece there is constant.
+    """
+    cross = crossings(fp, gp, u, v)
+    xs = [u] + cross + [v]
+    best = max(min(fp(x), gp(x)) for x in xs)
+    mids = [(p + q) / 2 for p, q in zip(xs, xs[1:])]
+    attained = any(min(fp(x), gp(x)) == best for x in cross + mids)
+    return SupResult(best, attained)
 
 
 def _conj_gap_sup(
     T: OrdinalSumTNorm, fp: LinFrac, gp: LinFrac, u: Rat, v: Rat
-) -> SupOutcome:
+) -> SupResult:
     """Sup of conj(f(x), g(x)) over (u, v); the branch is constant there."""
     mid = (u + v) / 2
     fm, gm = fp(mid), gp(mid)
@@ -204,8 +173,8 @@ def _conj_gap_sup(
         out = sup_ratfunc(num, p_mul(df, dg), u, v)
         val = out.value - s.hi
         if val > s.lo:
-            return SupOutcome(val, out.attained)
-        return SupOutcome(s.lo, True)
+            return SupResult(val, out.attained)
+        return SupResult(s.lo, True)
     lo, hi = s.lo, s.hi
     num = p_add(
         p_mul(p_sub(nf, p_scale(df, lo)), p_sub(ng, p_scale(dg, lo))),
@@ -215,27 +184,48 @@ def _conj_gap_sup(
 
 
 def tensor(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> SupResult:
-    """Exact supremum of x -> conj(phi(x), psi(x)), one-sided limits included."""
+    """Exact supremum of x -> conj(phi(x), psi(x)), one-sided limits included.
+
+    Branch and bound: conj <= min and each piece is monotone or constant on
+    its gap, so min(max of phi's limits, max of psi's limits) bounds a gap.
+    Gaps go in descending bound order until a bound is below the best value.
+    """
     _require_unit_domain(phi, "tensor operand")
     _require_unit_domain(psi, "tensor operand")
-    pos, phi2, psi2 = _aligned(T, phi, psi)
-    best: Optional[Rat] = None
+    phi2, psi2 = phi.refine(psi._xs), psi.refine(phi._xs)
+    pos = phi2._xs
+    best = ZERO
     attained = False
 
     def feed(val: Rat, reach: bool) -> None:
         nonlocal best, attained
-        if best is None or val > best:
+        if val > best:
             best, attained = val, reach
         elif val == best:
             attained = attained or reach
 
     for bf, bg in zip(phi2.breakpoints, psi2.breakpoints):
         feed(T.conj(bf.at, bg.at), True)
-    for i in range(len(phi2.pieces)):
-        u, v = pos[i], pos[i + 1]
-        out = _conj_gap_sup(T, phi2.pieces[i], psi2.pieces[i], u, v)
-        feed(out.value, out.attained)
-    assert best is not None
+    lf = [(a.right, b.left) for a, b in zip(phi2.breakpoints, phi2.breakpoints[1:])]
+    lg = [(a.right, b.left) for a, b in zip(psi2.breakpoints, psi2.breakpoints[1:])]
+    gaps = sorted(((min(max(lf[i]), max(lg[i])), i) for i in range(len(lf))), reverse=True)
+    levels = T.idempotent_levels()
+    for bound, i in gaps:
+        if bound < best:
+            break
+        fp, gp, u, v = phi2.pieces[i], psi2.pieces[i], pos[i], pos[i + 1]
+        # a piece meets a level inside the gap iff the level lies strictly
+        # between its limits; cutting there fixes the summand branch
+        found: set[Rat] = set()
+        for piece, (a, b) in ((fp, lf[i]), (gp, lg[i])):
+            lo, hi = sorted((a, b))
+            inside = levels[bisect.bisect_right(levels, lo) : bisect.bisect_left(levels, hi)]
+            found.update(_solve_eq(piece, lv) for lv in inside)
+        cuts = sorted(found)
+        for x in cuts:
+            feed(T.conj(fp(x), gp(x)), True)
+        for p, q in zip([u, *cuts], [*cuts, v]):
+            feed(*_conj_gap_sup(T, fp, gp, p, q))
     return SupResult(best, attained)
 
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
+from ._sup import SupResult
 from .rat import (
     ONE,
     ZERO,
@@ -44,7 +45,7 @@ _SIDES = ("below", "at", "above")
 # analytic pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinFrac:
     """The map x -> (a*x + b) / (c*x + d), normalized so c in {0, 1}.
 
@@ -59,6 +60,8 @@ class LinFrac:
     d: Rat
 
     def __call__(self, x: Rat) -> Rat:
+        if not self.c:  # affine, d == 1
+            return self.a * x + self.b if self.a else self.b
         return (self.a * x + self.b) / (self.c * x + self.d)
 
     @property
@@ -115,14 +118,6 @@ def chord(x0: Rat, y0: Rat, x1: Rat, y1: Rat) -> LinFrac:
     """Affine piece through two points with distinct abscissae."""
     slope = (y1 - y0) / (x1 - x0)
     return affine_piece(slope, y0 - slope * x0)
-
-
-def solve_piece_eq_const(p: LinFrac, k: Rat) -> Optional[Rat]:
-    """The unique x with p(x) = k, or None (no solution or p identically k)."""
-    den = p.a - k * p.c
-    if den == 0:
-        return None
-    return (k * p.d - p.b) / den
 
 
 def equal_points(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
@@ -214,17 +209,12 @@ def crossings(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
 # breakpoints and the function type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Breakpoint:
     x: Rat
     left: Rat
     at: Rat
     right: Rat
-
-
-class SupResult(NamedTuple):
-    value: Rat
-    attained: bool
 
 
 @dataclass(frozen=True)
@@ -409,15 +399,17 @@ class PwFn:
         )
         if not extra:
             return self
-        bps = list(self.breakpoints)
-        pcs = list(self.pieces)
-        for p in extra:
-            xs = [bp.x for bp in bps]
-            i = bisect.bisect_left(xs, p)
-            piece = pcs[i - 1]
-            val = piece(p)
-            bps.insert(i, Breakpoint(p, val, val, val))
-            pcs.insert(i, piece)
+        bps = [self.breakpoints[0]]
+        pcs: list[LinFrac] = []
+        j = 0
+        for piece, nxt in zip(self.pieces, self.breakpoints[1:]):
+            while j < len(extra) and extra[j] < nxt.x:
+                val = piece(extra[j])
+                bps.append(Breakpoint(extra[j], val, val, val))
+                pcs.append(piece)
+                j += 1
+            bps.append(nxt)
+            pcs.append(piece)
         return PwFn(tuple(bps), tuple(pcs))
 
     def restrict(self, lo: Rat, hi: Rat) -> "PwFn":

@@ -64,10 +64,17 @@ def parse_rat(text: str) -> Rat:
 
 
 def fmt_rat(value: Rat) -> str:
-    """Render exactly, ``p/q`` or a bare integer."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render exactly, ``p/q`` or a bare integer.
+
+    Raises :class:`DomainError` when the interpreter's int-to-str digit
+    limit refuses the numerator or the denominator.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise DomainError(f"rational too long to print: {exc}") from None
 
 
 def ensure_unit(value: Rat, what: str = "value") -> Rat:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings
 
 from qflat import GODEL, LUKASIEWICZ, PRODUCT, PwFn, make_tnorm
-from qflat.tnorms import OrdinalSumTNorm
+from qflat.tnorms import OrdinalSumTNorm, SummandKind
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -60,3 +60,13 @@ def grid_tensor(T, phi: PwFn, psi: PwFn, n: int = 200) -> Fraction:
     """Brute-force lower bound for the tensor: max of conj on a fine grid."""
     pts = grid(n, phi.positions(), psi.positions())
     return max(T.conj(phi.eval(p), psi.eval(p)) for p in pts)
+
+
+def tnorm_over_997(rng: random.Random) -> OrdinalSumTNorm:
+    """Up to four summands on cuts k/997, consecutive ones touching."""
+    ends = [Fraction(0)] + [Fraction(c, 997) for c in sorted(rng.sample(range(1, 997), 3))] + [Fraction(1)]
+    return make_tnorm(
+        (ends[i], ends[i + 1], rng.choice(list(SummandKind)))
+        for i in range(4)
+        if rng.randrange(4)
+    )

@@ -76,6 +76,18 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("parse error:") and "Traceback" not in err
 
+    def test_unprintable_result_exit_3(self, capsys):
+        # each literal is printable, but their product has twice the digits
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            lit = "1/" + "7" * 400
+            code, out, err = run(capsys, "eval", "product", "conj", lit, lit)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 3 and out == ""
+        assert err.startswith("domain error:") and "Traceback" not in err
+
 
 class TestCheck:
     def test_flat_principal_holds(self, capsys, spec_path):
@@ -173,6 +185,12 @@ class TestCsv:
     def test_too_few_samples(self, capsys):
         code, _, err = run(capsys, "csv", "const(1)", "--samples", "1")
         assert code == 3
+
+    def test_deep_nesting_exit_2(self, capsys):
+        expr = "min(" * 1500 + "identity" + ", identity)" * 1500
+        code, out, err = run(capsys, "csv", expr)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and "Traceback" not in err
 
 
 class TestSpecFile:

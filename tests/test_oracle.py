@@ -25,7 +25,9 @@ from qflat.oracle import (
     verify_sandwich,
 )
 from qflat.order import check_lower_set, check_upper_set, principal_lower
-from qflat.tnorms import OrdinalSumTNorm, SummandKind, make_tnorm
+from qflat.tnorms import OrdinalSumTNorm
+
+from conftest import tnorm_over_997
 
 
 class TestVerifyAdjunction:
@@ -101,16 +103,6 @@ class TestFalsifiers:
         assert falsify_upper_set(t4, principal_upper(t4, F(2, 5)), GridSpec(64)).holds
 
 
-def _tnorm_over_997(rng):
-    """Up to four summands on cuts k/997, consecutive ones touching."""
-    ends = [F(0)] + [F(c, 997) for c in sorted(rng.sample(range(1, 997), 3))] + [F(1)]
-    return make_tnorm(
-        (ends[i], ends[i + 1], rng.choice(list(SummandKind)))
-        for i in range(4)
-        if rng.randrange(4)
-    )
-
-
 def _kernel_matches_definition(T, f, grid, lower):
     """Every pair the falsifier visits, recomputed with T.conj/T.residuum.
 
@@ -159,7 +151,7 @@ class TestGridKernel:
         rng = random.Random(resolution)
         verdicts = set()
         for trial in range(12):
-            T = random_tnorm(rng) if trial % 2 else _tnorm_over_997(rng)
+            T = random_tnorm(rng) if trial % 2 else tnorm_over_997(rng)
             for lower in (True, False):
                 if trial % 3 == 0:
                     f = random_pwfn(rng)

@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, pwfn
+from qflat.oracle import (
+    flat_candidates,
+    random_lower,
+    random_pwfn,
+    random_tnorm,
+    random_upper,
+)
 from qflat.order import (
+    _conj_gap_sup,
+    _solve_eq,
     check_lower_set,
     check_upper_set,
     d_L,
@@ -14,10 +24,18 @@ from qflat.order import (
     principal_upper,
     tensor,
 )
-from qflat.pwfn import pointwise_max, pointwise_min
+from qflat.pwfn import (
+    LinFrac,
+    SupResult,
+    affine_piece,
+    const_piece,
+    pointwise_max,
+    pointwise_min,
+)
+from qflat.rat import ExactnessError
 from qflat.report import PairWitness
 
-from conftest import grid, grid_tensor
+from conftest import grid, grid_tensor, tnorm_over_997
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
@@ -136,6 +154,95 @@ class TestTensor:
         for T in families:
             a, b = F(3, 7), F(5, 8)
             assert tensor(T, PwFn.constant(a), PwFn.constant(b)) == (T.conj(a, b), True)
+
+
+def unpruned_tensor(T, phi, psi):
+    """tensor without pruning: every breakpoint, every level cut, every gap."""
+    pos = sorted(set(phi.positions()) | set(psi.positions()))
+    f, g = phi.refine(pos), psi.refine(pos)
+    cuts = set()
+    for h in (f, g):
+        for i, piece in enumerate(h.pieces):
+            u, v = pos[i], pos[i + 1]
+            for lv in T.idempotent_levels():
+                x = _solve_eq(piece, lv)
+                if x is not None and u < x < v:
+                    cuts.add(x)
+    f, g = f.refine(cuts), g.refine(cuts)
+    xs = f.positions()
+    cands = [(T.conj(bf.at, bg.at), True) for bf, bg in zip(f.breakpoints, g.breakpoints)]
+    cands += [
+        tuple(_conj_gap_sup(T, f.pieces[i], g.pieces[i], xs[i], xs[i + 1]))
+        for i in range(len(f.pieces))
+    ]
+    best = max(val for val, _ in cands)
+    return SupResult(best, any(reach for val, reach in cands if val == best))
+
+
+class TestTensorPruning:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_unpruned_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            T = tnorm_over_997(rng) if rng.random() < 0.3 else random_tnorm(rng)
+            phi = rng.choice(
+                (
+                    lambda: random_pwfn(rng),
+                    lambda: random_lower(T, rng),
+                    lambda: flat_candidates(T, rng, 1)[0],
+                )
+            )()
+            psi = rng.choice(
+                (
+                    lambda: random_pwfn(rng),
+                    lambda: random_upper(T, rng),
+                    lambda: pointwise_min(random_upper(T, rng), random_upper(T, rng)),
+                )
+            )()
+            assert tensor(T, phi, psi) == unpruned_tensor(T, phi, psi)
+
+    def test_equal_bound_gap_is_visited(self):
+        # the first gap sets best = 1/2 as a limit only; the second gap's
+        # bound equals 1/2 and it attains 1/2, so it must not be skipped
+        phi = pwfn(
+            [
+                Breakpoint(F(0), F(1), F(1), F(1)),
+                Breakpoint(F(1, 2), F(1, 2), F(1, 2), F(1)),
+                Breakpoint(F(1), F(1), F(1), F(1)),
+            ]
+        )
+        psi = pwfn(
+            [
+                Breakpoint(F(0), F(0), F(0), F(0)),
+                Breakpoint(F(1, 2), F(1), F(0), F(1, 2)),
+                Breakpoint(F(1), F(1, 2), F(0), F(0)),
+            ]
+        )
+        assert tensor(PRODUCT, phi, psi) == SupResult(F(1, 2), True)
+        assert unpruned_tensor(PRODUCT, phi, psi) == SupResult(F(1, 2), True)
+
+    def test_skipped_gap_needs_no_exact_crossing(self):
+        # on (0, 1/2), 1/(x+2) crosses x at sqrt(2)-1, but that gap's bound
+        # 1/2 is below the value 1 reached at x = 1/2
+        phi = pwfn(
+            [
+                Breakpoint(F(0), F(1, 2), F(1, 2), F(1, 2)),
+                Breakpoint(F(1, 2), F(2, 5), F(1), F(1)),
+                Breakpoint(F(1), F(1), F(1), F(1)),
+            ],
+            [LinFrac(F(0), F(1), F(1), F(2)), const_piece(F(1))],
+        )
+        psi = pwfn(
+            [
+                Breakpoint(F(0), F(0), F(0), F(0)),
+                Breakpoint(F(1, 2), F(1, 2), F(1), F(1)),
+                Breakpoint(F(1), F(1), F(1), F(1)),
+            ],
+            [affine_piece(F(1), F(0)), const_piece(F(1))],
+        )
+        assert tensor(GODEL, phi, psi) == SupResult(F(1), True)
+        with pytest.raises(ExactnessError):
+            unpruned_tensor(GODEL, phi, psi)
 
 
 class TestCheckLowerSet:

@@ -234,3 +234,12 @@ class TestParseRat:
                     parse_rat(text)
         finally:
             sys.set_int_max_str_digits(old)
+
+    def test_fmt_rat_beyond_digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(DomainError):
+                fmt_rat(F(1, 10**700))
+        finally:
+            sys.set_int_max_str_digits(old)
