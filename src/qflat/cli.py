@@ -1,7 +1,8 @@
 """The qflat command line: evaluate, check, tensor, verify, emit CSV.
 
 Exit codes are a stable contract: 0 success or a holding verdict, 1 a
-violated verdict or failed suite, 2 parse errors, 3 domain errors.
+violated verdict or failed suite, 2 parse errors, 3 domain errors, 4 an
+internal error (any other exception, never reported as a verdict).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 def _load_spec(path: str | None) -> SpecFile:
@@ -297,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--trials", type=int, default=60)
     pv.add_argument("--grid", type=int, default=60)
-    pv.add_argument(
-        "--seed", type=int, default=int(os.environ.get("QFLAT_SEED", "42"))
-    )
+    # a string default goes through type=int only when verify runs without
+    # --seed, so a bad QFLAT_SEED is a usage error (exit 2) there and nowhere else
+    pv.add_argument("--seed", type=int, default=os.environ.get("QFLAT_SEED", "42"))
     pv.set_defaults(func=cmd_verify)
 
     pcsv = sub.add_parser("csv", help="sample a function as CSV on stdout")
@@ -320,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, OSError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

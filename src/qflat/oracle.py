@@ -87,6 +87,17 @@ class TrialConfig:
 # grid-loop kernel: a value is n/(d*D) with d > 0, never reduced
 
 
+def _scale_to_lcm(*rows: Sequence[Rat]) -> tuple[int, list[list[int]]]:
+    """(D, [row*D, ...]) with D the lcm of every denominator in the rows.
+
+    Multiplying by a positive D preserves order and equality, so any
+    comparison, ``bisect`` or membership test gives the same answer on the
+    scaled integers as on the rationals.
+    """
+    D = math.lcm(*(q.denominator for row in rows for q in row))
+    return D, [[q.numerator * (D // q.denominator) for q in row] for row in rows]
+
+
 def scaled_pair_ops(
     T: OrdinalSumTNorm, pts: Sequence[Rat], vals: Sequence[Rat]
 ) -> tuple[int, list[int], list[int], Callable, Callable]:
@@ -99,13 +110,10 @@ def scaled_pair_ops(
     formulas without calling ``T``.
     """
     ends = [e for s in T.summands for e in (s.lo, s.hi)]
-    D = math.lcm(*(q.denominator for q in (*pts, *vals, *ends)))
-
-    def scale(q: Rat) -> int:
-        return q.numerator * (D // q.denominator)
-
+    D, (P, V, E) = _scale_to_lcm(pts, vals, ends)
     summs = tuple(
-        (scale(s.lo), scale(s.hi), s.kind is SummandKind.LUKASIEWICZ) for s in T.summands
+        (lo, hi, s.kind is SummandKind.LUKASIEWICZ)
+        for lo, hi, s in zip(E[::2], E[1::2], T.summands)
     )
 
     def conj(f, n, d):
@@ -131,7 +139,7 @@ def scaled_pair_ops(
                 return lo * (a - lo) + (hi - lo) * (b - lo), a - lo
         return b, 1
 
-    return D, [scale(p) for p in pts], [scale(v) for v in vals], conj, res
+    return D, P, V, conj, res
 
 
 # ---------------------------------------------------------------------------
@@ -143,43 +151,45 @@ def verify_adjunction(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
 
     Also checks that the grid-restricted residuum (the largest grid z with
     conj(x,z) <= y) never exceeds the closed form, with equality whenever
-    the closed-form value lies on the grid.
+    the closed-form value lies on the grid.  Each row of ``T.conj`` and
+    ``T.residuum`` values is compared on integers scaled by the row's lcm;
+    witnesses carry the rationals.
     """
     pts = grid.points(T)
-    on_grid = set(pts)
     n = len(pts)
-    for i, x in enumerate(pts):
+    for x in pts:
         conj_row = [T.conj(x, y) for y in pts]
         res_row = [T.residuum(x, z) for z in pts]
-        for j, y in enumerate(pts):
-            kc = bisect.bisect_left(pts, conj_row[j])
-            kr = bisect.bisect_left(res_row, y)
+        _, (P, C, R) = _scale_to_lcm(pts, conj_row, res_row)
+        for j, y in enumerate(P):
+            kc = bisect.bisect_left(P, C[j])
+            kr = bisect.bisect_left(R, y)
             if kc != kr:
                 k = min(kc, kr)
-                z = pts[k]
                 return violated(
                     "DEF",
                     PointWitness(
                         x,
                         (
                             ("x", x),
-                            ("y", y),
-                            ("z", z),
+                            ("y", pts[j]),
+                            ("z", pts[k]),
                             ("conj(x,y)", conj_row[j]),
                             ("residuum(x,z)", res_row[k]),
                         ),
                     ),
                     detail="adjunction biconditional fails",
                 )
-        for k, z in enumerate(pts):
-            j = bisect.bisect_right(conj_row, z) - 1
+        on_grid = set(P)
+        for k, z in enumerate(P):
+            j = bisect.bisect_right(C, z) - 1
             if j >= 0:
-                gm = pts[j]
-                if gm > res_row[k] or (res_row[k] in on_grid and gm != res_row[k]):
+                gm, r = P[j], R[k]
+                if gm > r or (r in on_grid and gm != r):
                     return violated(
                         "DEF",
                         PointWitness(
-                            x, (("y", z), ("grid_max", gm), ("residuum", res_row[k]))
+                            x, (("y", pts[k]), ("grid_max", pts[j]), ("residuum", res_row[k]))
                         ),
                         detail="grid residuum disagrees with closed form",
                     )
@@ -187,24 +197,32 @@ def verify_adjunction(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
 
 
 def verify_sandwich(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
-    """conj(x, y) = min(x, y) whenever x <= c <= y for an idempotent c."""
+    """conj(x, y) = min(x, y) whenever x <= c <= y for an idempotent c.
+
+    The law does not depend on c, so each pair is checked once: at the
+    idempotent index k only x in (prev, k] is new, prev being the previous
+    idempotent index.  The count and the first failure, with its c, are
+    those of the walk over every triple.
+    """
     pts = grid.points(T)
-    idems = [c for c in pts if T.is_idempotent(c)]
+    n = len(pts)
     checked = 0
-    for c in idems:
-        lo_part = [x for x in pts if x <= c]
-        hi_part = [y for y in pts if y >= c]
-        for x in lo_part:
+    prev = -1
+    for k, c in enumerate(pts):
+        if not T.is_idempotent(c):
+            continue
+        checked += (k + 1) * (n - k)
+        hi_part = pts[k:]
+        for x in pts[prev + 1 : k + 1]:
             for y in hi_part:
-                checked += 1
-                if T.conj(x, y) != min(x, y):
+                v = T.conj(x, y)
+                if v != min(x, y):
                     return violated(
                         "DEF",
-                        PointWitness(
-                            c, (("x", x), ("y", y), ("conj", T.conj(x, y)))
-                        ),
+                        PointWitness(c, (("x", x), ("y", y), ("conj", v))),
                         detail="sandwich law fails",
                     )
+        prev = k
     return CheckReport(True, detail=f"sandwich exact on {checked} triples")
 
 

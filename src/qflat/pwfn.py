@@ -476,7 +476,10 @@ def pwfn(
     pts[-1] = Breakpoint(last.x, last.left, last.at, last.at)
     for bp in pts:
         for v in (bp.left, bp.at, bp.right):
-            ensure_unit(v, f"value at {fmt_rat(bp.x)}")
+            try:
+                ensure_unit(v)
+            except DomainError:  # the message names the position only on failure
+                ensure_unit(v, f"value at {fmt_rat(bp.x)}")
 
     if pieces is None:
         pcs = []

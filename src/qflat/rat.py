@@ -78,7 +78,13 @@ def fmt_rat(value: Rat) -> str:
 
 
 def ensure_unit(value: Rat, what: str = "value") -> Rat:
-    if not ZERO <= value <= ONE:
+    """``value`` itself when it is an int or a Fraction in [0,1].
+
+    Anything else, a float included, raises :class:`DomainError`.
+    """
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"{what} {value!r} is not an exact rational")
+    if not 0 <= value.numerator <= value.denominator:
         raise DomainError(f"{what} {fmt_rat(value)} outside [0,1]")
     return value
 

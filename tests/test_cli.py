@@ -88,6 +88,17 @@ class TestEval:
         assert code == 3 and out == ""
         assert err.startswith("domain error:") and "Traceback" not in err
 
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        import qflat.cli as cli
+
+        def boom(args):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr(cli, "cmd_eval", boom)
+        code, out, err = run(capsys, "eval", "godel", "conj", "1/2", "1/2")
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        assert err == "internal error: RuntimeError: unexpected state\n"
+
 
 class TestCheck:
     def test_flat_principal_holds(self, capsys, spec_path):
@@ -145,6 +156,19 @@ class TestVerify:
             capsys, "verify", "--suite", "lemma37", "--seed", "11", "--trials", "10"
         )
         assert (code1, out1) == (code2, out2) == (0, out2)
+
+    def test_bad_seed_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QFLAT_SEED", "abc")
+        assert run(capsys, "eval", "godel", "conj", "1/2", "1/4")[0] == 0
+        argv = ["verify", "--suite", "sandwich", "--grid", "2"]  # families follow the seed
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        monkeypatch.setenv("QFLAT_SEED", "7")
+        from_env = run(capsys, *argv)[:2]
+        assert from_env == run(capsys, *argv, "--seed", "7")[:2]
+        assert from_env != run(capsys, *argv, "--seed", "42")[:2]
 
 
 class TestCsv:

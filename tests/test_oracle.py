@@ -1,3 +1,4 @@
+import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -25,9 +26,174 @@ from qflat.oracle import (
     verify_sandwich,
 )
 from qflat.order import check_lower_set, check_upper_set, principal_lower
+from qflat.rat import ONE, ZERO
+from qflat.report import CheckReport, PointWitness, violated
 from qflat.tnorms import OrdinalSumTNorm
 
 from conftest import tnorm_over_997
+
+
+def fraction_adjunction(T, grid):
+    """Reference: the adjunction verifier with every bisect on Fractions."""
+    pts = grid.points(T)
+    on_grid = set(pts)
+    n = len(pts)
+    for x in pts:
+        conj_row = [T.conj(x, y) for y in pts]
+        res_row = [T.residuum(x, z) for z in pts]
+        for j, y in enumerate(pts):
+            kc = bisect.bisect_left(pts, conj_row[j])
+            kr = bisect.bisect_left(res_row, y)
+            if kc != kr:
+                k = min(kc, kr)
+                z = pts[k]
+                return violated(
+                    "DEF",
+                    PointWitness(
+                        x,
+                        (
+                            ("x", x),
+                            ("y", y),
+                            ("z", z),
+                            ("conj(x,y)", conj_row[j]),
+                            ("residuum(x,z)", res_row[k]),
+                        ),
+                    ),
+                    detail="adjunction biconditional fails",
+                )
+        for k, z in enumerate(pts):
+            j = bisect.bisect_right(conj_row, z) - 1
+            if j >= 0:
+                gm = pts[j]
+                if gm > res_row[k] or (res_row[k] in on_grid and gm != res_row[k]):
+                    return violated(
+                        "DEF",
+                        PointWitness(
+                            x, (("y", z), ("grid_max", gm), ("residuum", res_row[k]))
+                        ),
+                        detail="grid residuum disagrees with closed form",
+                    )
+    return CheckReport(True, detail=f"adjunction exact on {n}^3 grid triples")
+
+
+def fraction_sandwich(T, grid):
+    """Reference: the sandwich verifier over every triple (c, x, y)."""
+    pts = grid.points(T)
+    idems = [c for c in pts if T.is_idempotent(c)]
+    checked = 0
+    for c in idems:
+        lo_part = [x for x in pts if x <= c]
+        hi_part = [y for y in pts if y >= c]
+        for x in lo_part:
+            for y in hi_part:
+                checked += 1
+                if T.conj(x, y) != min(x, y):
+                    return violated(
+                        "DEF",
+                        PointWitness(c, (("x", x), ("y", y), ("conj", T.conj(x, y)))),
+                        detail="sandwich law fails",
+                    )
+    return CheckReport(True, detail=f"sandwich exact on {checked} triples")
+
+
+@dataclass(frozen=True)
+class WrongConjAtOnePair(OrdinalSumTNorm):
+    """conj(1/3, 1/2) moved by 1/12; every other value is right."""
+
+    def conj(self, x, y):
+        good = OrdinalSumTNorm.conj(self, x, y)
+        if (x, y) == (F(1, 3), F(1, 2)):
+            return good - F(1, 12) if good >= F(1, 12) else good + F(1, 12)
+        return good
+
+
+@dataclass(frozen=True)
+class WrongResiduumAtOnePair(OrdinalSumTNorm):
+    """residuum(1/3, 2/3) is 2/3 instead of 1; every other value is right."""
+
+    def residuum(self, x, y):
+        if (x, y) == (F(1, 3), F(2, 3)):
+            return y
+        return OrdinalSumTNorm.residuum(self, x, y)
+
+
+@dataclass(frozen=True)
+class WrongCrossResiduum(OrdinalSumTNorm):
+    """The cross-summand residuum x -> y = y capped 1/64 too low."""
+
+    def residuum(self, x, y):
+        good = OrdinalSumTNorm.residuum(self, x, y)
+        if x > y and good == y and y > 0:
+            return y - min(y, F(1, 64))
+        return good
+
+
+CORRUPTIONS = (OrdinalSumTNorm, WrongConjAtOnePair, WrongResiduumAtOnePair, WrongCrossResiduum)
+
+
+def _outcome(rep):
+    return rep.holds, rep.rule, rep.detail, rep.witness
+
+
+class TestVerifiersMatchFractionReference:
+    """The integer-keyed verifiers against the Fraction walk they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_families(self, seed):
+        rng = random.Random(seed)
+        verdicts = set()
+        for trial in range(8):
+            T = random_tnorm(rng) if trial % 2 else tnorm_over_997(rng)
+            T = CORRUPTIONS[trial % 4](T.summands)
+            grid = GridSpec(rng.choice((6, 12, 24)))
+            for mine, ref in (
+                (verify_adjunction, fraction_adjunction),
+                (verify_sandwich, fraction_sandwich),
+            ):
+                rep = mine(T, grid)
+                assert _outcome(rep) == _outcome(ref(T, grid)), (T.describe(), mine)
+                verdicts.add(rep.holds)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS[1:])
+    def test_corrupted_tnorms(self, corrupt, t4):
+        details = set()
+        for base in (GODEL, LUKASIEWICZ, PRODUCT, t4):
+            T = corrupt(base.summands)
+            for resolution in (12, 24):
+                grid = GridSpec(resolution)
+                for mine, ref in (
+                    (verify_adjunction, fraction_adjunction),
+                    (verify_sandwich, fraction_sandwich),
+                ):
+                    rep = mine(T, grid)
+                    assert _outcome(rep) == _outcome(ref(T, grid)), (T.describe(), mine)
+                    details.add(rep.detail)
+        fails = {
+            WrongConjAtOnePair: {"adjunction biconditional fails", "sandwich law fails"},
+            WrongResiduumAtOnePair: {"grid residuum disagrees with closed form"},
+            WrongCrossResiduum: {"adjunction biconditional fails"},
+        }[corrupt]
+        assert fails <= details
+
+
+    def test_grid_residuum_equality_clause(self):
+        # two wrong values that pass the biconditional's bisects; only the
+        # "closed form on the grid must equal the grid maximum" clause sees them
+        @dataclass(frozen=True)
+        class TwoWrong(OrdinalSumTNorm):
+            def conj(self, x, y):
+                return ZERO if (x, y) == (ONE, F(1, 4)) else OrdinalSumTNorm.conj(self, x, y)
+
+            def residuum(self, x, y):
+                return ONE if (x, y) == (ONE, ZERO) else OrdinalSumTNorm.residuum(self, x, y)
+
+        T = TwoWrong(GODEL.summands)
+        rep = verify_adjunction(T, GridSpec(4))
+        assert _outcome(rep) == _outcome(fraction_adjunction(T, GridSpec(4)))
+        assert rep.witness == PointWitness(
+            ONE, (("y", ZERO), ("grid_max", F(1, 4)), ("residuum", ONE))
+        )
 
 
 class TestVerifyAdjunction:
@@ -38,16 +204,7 @@ class TestVerifyAdjunction:
         assert verify_adjunction(t4, GridSpec(100)).holds
 
     def test_corrupted_residuum_caught(self, t4):
-        @dataclass(frozen=True)
-        class Corrupted(OrdinalSumTNorm):
-            def residuum(self, x, y):
-                good = OrdinalSumTNorm.residuum(self, x, y)
-                # off-by-one branch: pretend the cross-summand case caps lower
-                if x > y and good == y and y > 0:
-                    return y - min(y, F(1, 64))
-                return good
-
-        bad = Corrupted(t4.summands)
+        bad = WrongCrossResiduum(t4.summands)
         rep = verify_adjunction(bad, GridSpec(16))
         assert not rep.holds and rep.witness is not None
 
@@ -61,6 +218,19 @@ class TestVerifySandwich:
 
     def test_plain_product_boundary_cases(self):
         assert verify_sandwich(PRODUCT, GridSpec(40)).holds
+
+    def test_counts_every_triple(self, t4):
+        # 13 points, idempotent at indices 0-3, 6 and 12: sum of (k+1)(13-k)
+        rep = verify_sandwich(t4, GridSpec(12))
+        assert rep.detail == f"sandwich exact on {13 + 24 + 33 + 40 + 49 + 13} triples"
+
+    def test_corrupted_conj_caught(self, t4):
+        # 1/3 lies inside the summand (1/4, 1/2): only c = y = 1/2 covers the pair
+        rep = verify_sandwich(WrongConjAtOnePair(t4.summands), GridSpec(12))
+        assert not rep.holds and rep.detail == "sandwich law fails"
+        assert rep.witness == PointWitness(
+            F(1, 2), (("x", F(1, 3)), ("y", F(1, 2)), ("conj", F(1, 4)))
+        )
 
 
 class TestFalsifiers:

@@ -260,6 +260,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             pwfn([Breakpoint(F(0), F(2), F(2), F(2)), Breakpoint(F(1), F(0), F(0), F(0))])
 
+    def test_bad_value_names_its_position(self):
+        with pytest.raises(DomainError, match=r"^value at 1/2 3/2 outside \[0,1\]$"):
+            pwfn(
+                [
+                    Breakpoint(F(0), F(0), F(0), F(0)),
+                    Breakpoint(F(1, 2), F(0), F(3, 2), F(0)),
+                    Breakpoint(F(1), F(0), F(0), F(0)),
+                ]
+            )
+        with pytest.raises(DomainError, match="^value at 1 0.5 is not an exact rational$"):
+            pwfn([Breakpoint(F(0), F(0), F(0), F(0)), Breakpoint(F(1), 0.5, 0.5, 0.5)])
+
     def test_collinear_merge(self):
         f = pwfn(
             [

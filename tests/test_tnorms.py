@@ -222,6 +222,29 @@ class TestTextFormat:
         assert parse_tnorm_body("custom", []) == GODEL
 
 
+class TestExactArguments:
+    @pytest.mark.parametrize("bad", [0.5, 0.25, 1.0, 0.0, "1/2", None])
+    def test_inexact_arguments_rejected(self, t4, bad):
+        for T in (GODEL, LUKASIEWICZ, PRODUCT, t4):
+            for call in (
+                lambda: T.conj(bad, F(1, 4)),
+                lambda: T.conj(F(1, 4), bad),
+                lambda: T.residuum(bad, F(1, 2)),
+                lambda: T.residuum(F(3, 4), bad),
+                lambda: T.is_idempotent(bad),
+            ):
+                with pytest.raises(DomainError, match="is not an exact rational"):
+                    call()
+
+    def test_ints_and_fractions_accepted(self, t4):
+        assert GODEL.conj(1, F(1, 4)) == F(1, 4)
+        assert t4.residuum(F(3, 4), 0) == 0
+        assert t4.is_idempotent(1) and t4.is_idempotent(F(0))
+        for bad in (-1, 2, F(-1, 3), F(4, 3)):
+            with pytest.raises(DomainError, match=r"outside \[0,1\]"):
+                GODEL.conj(bad, F(1, 2))
+
+
 class TestParseRat:
     def test_digit_limit(self):
         old = sys.get_int_max_str_digits()
