@@ -1,7 +1,8 @@
 """The qflat command line: evaluate, check, tensor, verify, emit CSV.
 
 Exit codes are a stable contract: 0 success or a holding verdict, 1 a
-violated verdict or failed suite, 2 parse errors, 3 domain errors, 4 an
+violated verdict or failed suite, 2 parse errors, 3 domain errors and
+exact refusals (an irrational point the exact arithmetic cannot name), 4 an
 internal error (any other exception, never reported as a verdict).
 """
 
@@ -24,7 +25,7 @@ from .oracle import (
 )
 from .order import check_lower_set, check_upper_set, principal_lower, principal_upper, tensor
 from .pwfn import PwFn, pointwise_max, pointwise_min
-from .rat import DomainError, ParseError, Rat, fmt_rat, parse_rat
+from .rat import DomainError, ExactnessError, ParseError, Rat, fmt_rat, parse_rat
 from .specfile import SpecFile, parse_specfile
 from .tnorms import GODEL, LUKASIEWICZ, PRODUCT, make_tnorm
 import random
@@ -39,8 +40,10 @@ EXIT_INTERNAL = 4
 def _load_spec(path: str | None) -> SpecFile:
     if path is None:
         return SpecFile()
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_specfile(text)
+    if path == "-":
+        return parse_specfile(sys.stdin.read())
+    with open(path) as fh:
+        return parse_specfile(fh.read())
 
 
 def _decimal(value: Rat) -> str:
@@ -319,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, OSError) as exc:
+    except (DomainError, ExactnessError, OSError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:

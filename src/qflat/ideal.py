@@ -13,7 +13,7 @@ of the flatness identity, with all three tensor values computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .order import (
     _cplus,
@@ -22,9 +22,11 @@ from .order import (
     _solve_eq,
     check_lower_set,
     hull_positions,
+    lower_piece,
     principal_lower,
     principal_upper,
     tensor,
+    upper_piece,
 )
 from .pwfn import (
     Breakpoint,
@@ -32,13 +34,12 @@ from .pwfn import (
     PwFn,
     affine_piece,
     const_piece,
-    linfrac,
     pointwise_min,
     pwfn,
 )
 from .rat import ONE, ZERO, DomainError, Rat, ensure_unit, fmt_rat
 from .report import HOLDS, CheckReport, PointWitness, TensorWitness, violated
-from .tnorms import OrdinalSumTNorm, Summand, SummandKind
+from .tnorms import OrdinalSumTNorm, Summand
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -134,10 +135,7 @@ def frame_principal_lower(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
         raise DomainError("principal point outside the frame")
     if b == hi:
         return PwFn.constant(hi, lo, hi)
-    if s.kind is SummandKind.LUKASIEWICZ:
-        piece = affine_piece(-ONE, hi + b)
-    else:
-        piece = linfrac(lo, (hi - lo) * (b - lo) - lo * lo, ONE, -lo)
+    piece = lower_piece(s, b)
     pts: list[Breakpoint] = []
     pcs: list[LinFrac] = []
     if b > lo:
@@ -156,11 +154,7 @@ def frame_principal_upper(T: OrdinalSumTNorm, s: Summand, c: Rat) -> PwFn:
         raise DomainError("principal point outside the frame")
     if c == lo:
         return PwFn.constant(hi, lo, hi)
-    if s.kind is SummandKind.LUKASIEWICZ:
-        piece = affine_piece(ONE, hi - c)
-    else:
-        slope = (hi - lo) / (c - lo)
-        piece = affine_piece(slope, lo - slope * lo)
+    piece = upper_piece(s, c)
     pts = [Breakpoint(lo, piece(lo), piece(lo), piece(lo)), Breakpoint(c, hi, hi, hi)]
     pcs = [piece]
     if c < hi:
@@ -197,16 +191,19 @@ def lift_frame_upper(T: OrdinalSumTNorm, s: Summand, psi: PwFn) -> PwFn:
 # flat-ideal conditions
 
 
+def _flat_reports(T: OrdinalSumTNorm, phi: PwFn) -> Iterator[tuple[str, CheckReport]]:
+    """F1, F2 and F3 in order, each evaluated only when it is asked for."""
+    yield "F1", _check_f1(phi)
+    yield "F2", _check_f2(T, phi)
+    yield "F3", _check_f3(T, phi)
+
+
 def flat_conditions(T: OrdinalSumTNorm, phi: PwFn) -> dict[str, CheckReport]:
     """Per-rule verdicts for F1, F2 and F3, evaluated independently.
 
     Assumes phi already passed :func:`qflat.order.check_lower_set`.
     """
-    return {
-        "F1": _check_f1(phi),
-        "F2": _check_f2(T, phi),
-        "F3": _check_f3(T, phi),
-    }
+    return dict(_flat_reports(T, phi))
 
 
 def check_flat(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
@@ -221,15 +218,7 @@ def check_flat(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
         if pre.detail:
             detail += "; " + pre.detail
         return CheckReport(False, rule=pre.rule, witness=pre.witness, detail=detail)
-    for checker in (
-        lambda: _check_f1(phi),
-        lambda: _check_f2(T, phi),
-        lambda: _check_f3(T, phi),
-    ):
-        rep = checker()
-        if not rep:
-            return rep
-    return HOLDS
+    return next((rep for _, rep in _flat_reports(T, phi) if not rep), HOLDS)
 
 
 def _check_f1(phi: PwFn) -> CheckReport:
@@ -446,11 +435,8 @@ def net_ideal(T: OrdinalSumTNorm, net: NetSpec) -> PwFn:
             pcs.append(const_piece(x))
             pts.append(Breakpoint(ONE, x, x, x))
         return pwfn(pts, pcs)
-    lo, hi = s.lo, s.hi
-    if s.kind is SummandKind.LUKASIEWICZ:
-        piece = affine_piece(-ONE, hi + x)
-    else:
-        piece = linfrac(lo, (hi - lo) * (x - lo) - lo * lo, ONE, -lo)
+    hi = s.hi
+    piece = lower_piece(s, x)
     pts.append(Breakpoint(x, ONE, hi, piece(x)))
     if x < hi:
         pcs.append(piece)

@@ -13,6 +13,7 @@ conjunction.
 from __future__ import annotations
 
 import bisect
+import operator
 from typing import Callable, Optional
 
 from ._sup import SupResult, linfrac_ratfunc, p_add, p_mul, p_scale, p_sub, sup_ratfunc
@@ -25,6 +26,8 @@ from .pwfn import (
     const_piece,
     crossings,
     equal_points,
+    gap_probes,
+    halve_toward,
     linfrac,
     pointwise_min,
     pwfn,
@@ -51,6 +54,23 @@ def d_R(T: OrdinalSumTNorm, x: Rat, y: Rat) -> Rat:
 # principal sets
 
 
+def lower_piece(s: Summand, b: Rat) -> LinFrac:
+    """The piece of x -> d_L(x, b) on (b, s.hi), for s.lo <= b <= s.hi."""
+    lo, hi = s.lo, s.hi
+    if s.kind is SummandKind.LUKASIEWICZ:
+        return affine_piece(-ONE, hi + b)
+    return linfrac(lo, (hi - lo) * (b - lo) - lo * lo, ONE, -lo)
+
+
+def upper_piece(s: Summand, c: Rat) -> LinFrac:
+    """The piece of x -> d_L(c, x) on (s.lo, c), for s.lo < c <= s.hi."""
+    lo, hi = s.lo, s.hi
+    if s.kind is SummandKind.LUKASIEWICZ:
+        return affine_piece(ONE, hi - c)
+    slope = (hi - lo) / (c - lo)
+    return affine_piece(slope, lo - slope * lo)
+
+
 def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
     """The principal lower set y -> d_L(y, x0), built exactly."""
     x0 = ensure_unit(Rat(x0), "principal point")
@@ -67,11 +87,8 @@ def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
         pcs.append(const_piece(x0))
         pts.append(Breakpoint(ONE, x0, x0, x0))
     else:
-        lo, hi = s.lo, s.hi
-        if s.kind is SummandKind.LUKASIEWICZ:
-            piece = affine_piece(-ONE, hi + x0)
-        else:
-            piece = linfrac(lo, (hi - lo) * (x0 - lo) - lo * lo, ONE, -lo)
+        hi = s.hi
+        piece = lower_piece(s, x0)
         if x0 > 0:
             pts.append(Breakpoint(ZERO, ONE, ONE, ONE))
             pcs.append(const_piece(ONE))
@@ -97,12 +114,8 @@ def principal_upper(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
         pcs.append(affine_piece(ONE, ZERO))
         pts.append(Breakpoint(x0, x0, ONE, ONE))
     else:
-        lo, hi = s.lo, s.hi
-        if s.kind is SummandKind.LUKASIEWICZ:
-            piece = affine_piece(ONE, hi - x0)
-        else:
-            slope = (hi - lo) / (x0 - lo)
-            piece = affine_piece(slope, lo - slope * lo)
+        lo = s.lo
+        piece = upper_piece(s, x0)
         if lo > 0:
             pts.append(Breakpoint(ZERO, ZERO, ZERO, ZERO))
             pcs.append(affine_piece(ONE, ZERO))
@@ -270,14 +283,6 @@ def hull_positions(T: OrdinalSumTNorm, f: PwFn, bound: str) -> list[Rat]:
     return sorted(pos)
 
 
-def _probe_not_equal(f: PwFn, p: Rat, q: Rat, value: Rat) -> Rat:
-    """A point in (p, q) where f differs from value (f non-constant there)."""
-    for t in ((p + q) / 2, p + (q - p) / 4, p + 3 * (q - p) / 4):
-        if f.eval(t) != value:
-            return t
-    raise AssertionError("piece unexpectedly constant")  # pragma: no cover
-
-
 def def_lower_witness(T: OrdinalSumTNorm, phi: PwFn, x: Rat, y: Rat) -> PairWitness:
     """The definitional inequality conj(phi(x), d_L(y,x)) <= phi(y) at (x, y)."""
     vx, vy = phi.eval(x), phi.eval(y)
@@ -314,39 +319,47 @@ def frame_point(s: Summand, t: Rat) -> Rat:
 # -- basic-case violations in transported coordinates ------------------------
 
 
-def _pair_near(
-    piece: LinFrac, anchor: Rat, other: Rat, bad: Callable[[Rat, Rat], bool]
-) -> tuple[Rat, Rat]:
-    """Shrink toward ``anchor`` until a nearby pair satisfies ``bad``."""
-    step = (other - anchor) / 2
-    for _ in range(64):
-        a, b = sorted((anchor + step / 2, anchor + step))
-        if bad(a, b):
-            return a, b
-        step /= 2
-    raise AssertionError("local violation search failed")  # pragma: no cover
+def _pair_near(anchor: Rat, other: Rat, bad: Callable[[Rat, Rat], bool]) -> tuple[Rat, Rat]:
+    """A sorted pair ((anchor + t)/2, t) satisfying ``bad``, t halving toward anchor."""
+
+    def pair(t: Rat) -> tuple[Rat, Rat]:
+        a, b = sorted(((anchor + t) / 2, t))
+        return a, b
+
+    return pair(halve_toward(anchor, other, lambda t: bad(*pair(t))))
 
 
-def _jump_pair(
-    f: PwFn, i: int, side: str, bad: Callable[[Rat, Rat], bool]
-) -> tuple[Rat, Rat]:
-    """A real pair straddling the jump at breakpoint i violating ``bad``."""
-    x0 = f.breakpoints[i].x
-    if side == "left":
-        lo = f.breakpoints[i - 1].x
-        step = (x0 - lo) / 2
-        for _ in range(64):
-            if bad(x0 - step, x0):
-                return x0 - step, x0
-            step /= 2
-    else:
-        hi = f.breakpoints[i + 1].x
-        step = (hi - x0) / 2
-        for _ in range(64):
-            if bad(x0, x0 + step):
-                return x0, x0 + step
-            step /= 2
-    raise AssertionError("jump violation search failed")  # pragma: no cover
+def _jump_scan(
+    f: PwFn, bad: Callable[[Rat, Rat], bool], at_zero: bool
+) -> Optional[tuple[Rat, Rat]]:
+    """A real pair straddling the first jump of f that satisfies ``bad``;
+    a jump at 0 counts only when ``at_zero``."""
+    bps = f.breakpoints
+    for i, bp in enumerate(bps):
+        x0 = bp.x
+        if x0 == ZERO and not at_zero:
+            continue
+        if i > 0 and bp.left != bp.at:
+            return halve_toward(x0, bps[i - 1].x, lambda t: bad(t, x0)), x0
+        if i < len(bps) - 1 and bp.at != bp.right:
+            return x0, halve_toward(x0, bps[i + 1].x, lambda t: bad(x0, t))
+    return None
+
+
+def _lukasiewicz_scan(sig: PwFn, sign: int) -> Optional[tuple[Rat, Rat]]:
+    """A pair a < b with sign*(sig(b) - sig(a)) > b - a, if any: sig fails
+    to be 1-Lipschitz downward (sign -1) or upward (sign 1)."""
+    bad = lambda a, b: sign * (sig.eval(b) - sig.eval(a)) > b - a  # noqa: E731
+    for i, piece in enumerate(sig.pieces):
+        u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
+        if piece.is_affine:
+            if sign * piece.a > 1:
+                return u + (v - u) / 4, v - (v - u) / 4
+        else:
+            for anchor, other in ((u, v), (v, u)):
+                if sign * _mobius_deriv(piece, anchor) > 1:
+                    return _pair_near(anchor, other, bad)
+    return _jump_scan(sig, bad, at_zero=True)
 
 
 def basic_lower_violation(
@@ -360,42 +373,15 @@ def basic_lower_violation(
     conj(f(x), d_L(y, x)) > f(y) in that basic quantale.
     """
     if kind is SummandKind.LUKASIEWICZ:
-        lip = lambda a, b: sig.eval(a) - sig.eval(b) > b - a  # noqa: E731
-        for i in range(len(sig.pieces)):
-            u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
-            piece = sig.pieces[i]
-            if piece.is_affine:
-                if piece.a < -1:
-                    return u + (v - u) / 4, v - (v - u) / 4
-            else:
-                for anchor, other in ((u, v), (v, u)):
-                    if _mobius_deriv(piece, anchor) < -1:
-                        a, b = _pair_near(piece, anchor, other, lip)
-                        return a, b
-        for i, bp in enumerate(sig.breakpoints):
-            if i > 0 and bp.left != bp.at:
-                return _jump_pair(sig, i, "left", lip)
-            if i < len(sig.breakpoints) - 1 and bp.at != bp.right:
-                return _jump_pair(sig, i, "right", lip)
-        return None
-
+        return _lukasiewicz_scan(sig, -1)
     # product kind: t(x) = x * f(x) must be non-decreasing; continuity off 0
-    tmap = lambda x: x * sig.eval(x)  # noqa: E731
-    drop = lambda a, b: tmap(a) > tmap(b)  # noqa: E731
-    for i in range(len(sig.pieces)):
+    drop = lambda a, b: a * sig.eval(a) > b * sig.eval(b)  # noqa: E731
+    for i, piece in enumerate(sig.pieces):
         u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
-        piece = sig.pieces[i]
         for anchor, other in ((u, v), (v, u)):
             if _xf_deriv(piece, anchor) < 0:
-                return _pair_near(piece, anchor, other, drop)
-    for i, bp in enumerate(sig.breakpoints):
-        if bp.x == ZERO:
-            continue
-        if bp.left != bp.at:
-            return _jump_pair(sig, i, "left", drop)
-        if i < len(sig.breakpoints) - 1 and bp.at != bp.right:
-            return _jump_pair(sig, i, "right", drop)
-    return None
+                return _pair_near(anchor, other, drop)
+    return _jump_scan(sig, drop, at_zero=False)
 
 
 def basic_upper_violation(
@@ -405,48 +391,18 @@ def basic_upper_violation(
     that conj(d_L(x, y), f(x)) > f(y); increasingness is assumed already
     checked globally."""
     if kind is SummandKind.LUKASIEWICZ:
-        lip = lambda a, b: sig.eval(b) - sig.eval(a) > b - a  # noqa: E731
-        bad = lambda a, b: lip(a, b)  # noqa: E731
-        for i in range(len(sig.pieces)):
-            u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
-            piece = sig.pieces[i]
-            if piece.is_affine:
-                if piece.a > 1:
-                    a, b = u + (v - u) / 4, v - (v - u) / 4
-                    return b, a
-            else:
-                for anchor, other in ((u, v), (v, u)):
-                    if _mobius_deriv(piece, anchor) > 1:
-                        a, b = _pair_near(piece, anchor, other, bad)
-                        return b, a
-        for i, bp in enumerate(sig.breakpoints):
-            if i > 0 and bp.left != bp.at:
-                a, b = _jump_pair(sig, i, "left", bad)
-                return b, a
-            if i < len(sig.breakpoints) - 1 and bp.at != bp.right:
-                a, b = _jump_pair(sig, i, "right", bad)
-                return b, a
-        return None
-
-    # product kind: w(x) = f(x)/x must be non-increasing on (0, 1]
-    grow = lambda a, b: a * sig.eval(b) > b * sig.eval(a)  # noqa: E731
-    for i in range(len(sig.pieces)):
-        u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
-        piece = sig.pieces[i]
-        bad_pts = _ratio_rise_points(piece, u, v)
-        for anchor, other in bad_pts:
-            a, b = _pair_near(piece, anchor, other, grow)
-            return b, a
-    for i, bp in enumerate(sig.breakpoints):
-        if bp.x == ZERO:
-            continue
-        if bp.left != bp.at:
-            a, b = _jump_pair(sig, i, "left", grow)
-            return b, a
-        if i < len(sig.breakpoints) - 1 and bp.at != bp.right:
-            a, b = _jump_pair(sig, i, "right", grow)
-            return b, a
-    return None
+        pair = _lukasiewicz_scan(sig, 1)
+    else:
+        # product kind: w(x) = f(x)/x must be non-increasing on (0, 1]
+        grow = lambda a, b: a * sig.eval(b) > b * sig.eval(a)  # noqa: E731
+        for i, piece in enumerate(sig.pieces):
+            rise = _ratio_rise(piece, sig.breakpoints[i].x, sig.breakpoints[i + 1].x)
+            if rise is not None:
+                pair = _pair_near(*rise, grow)
+                break
+        else:
+            pair = _jump_scan(sig, grow, at_zero=False)
+    return None if pair is None else (pair[1], pair[0])
 
 
 def _mobius_deriv(piece: LinFrac, x: Rat) -> Rat:
@@ -461,30 +417,95 @@ def _xf_deriv(piece: LinFrac, x: Rat) -> Rat:
     return ((a * c * x + 2 * a * d) * x + b * d) / (den * den)
 
 
-def _ratio_rise_points(
-    piece: LinFrac, u: Rat, v: Rat
-) -> list[tuple[Rat, Rat]]:
-    """Anchor/other pairs where (piece(x)/x)' > 0 holds at the anchor."""
+def _ratio_rise(piece: LinFrac, u: Rat, v: Rat) -> Optional[tuple[Rat, Rat]]:
+    """An anchor/other pair where (piece(x)/x)' > 0 holds at the anchor, if any."""
     a, b, c, d = piece.a, piece.b, piece.c, piece.d
 
     def wnum(x: Rat) -> Rat:
         # numerator of (piece/x)': -ac x^2 - 2bc x - bd over positive square
         return -(a * c) * x * x - 2 * b * c * x - b * d
 
-    pts = []
     if u > 0 and wnum(u) > 0:
-        pts.append((u, v))
-    if wnum(v) > 0 and not pts:
-        pts.append((v, u))
-    if not pts and a * c != 0:
+        return u, v
+    if wnum(v) > 0:
+        return v, u
+    if a * c != 0:
         xv = -b / a  # vertex of the quadratic numerator
         if u < xv < v and wnum(xv) > 0:
-            pts.append((xv, v))
-    return pts
+            return xv, v
+    return None
 
 
 # ---------------------------------------------------------------------------
 # the decision procedures
+
+
+def _floor_report(
+    T: OrdinalSumTNorm, f: PwFn, P: list[Rat], lower: bool
+) -> Optional[CheckReport]:
+    """L2 for a lower set: f(c) <= c- forces f(c) = f(1).  U2 for an upper
+    set, where only f(c) < c- (strict) forces it."""
+    rule, name, below = ("L2", "phi", operator.le) if lower else ("U2", "psi", operator.lt)
+    f1 = f.eval(ONE)
+
+    def report(c: Rat) -> CheckReport:
+        values = ((f"{name}(c)", f.eval(c)), ("c_minus", _cminus(T, c)), (f"{name}(1)", f1))
+        return violated(rule, PointWitness(c, values))
+
+    for c in P:
+        fc = f.eval(c)
+        if below(fc, _cminus(T, c)) and fc != f1:
+            return report(c)
+    for p, q in zip(P, P[1:]):
+        m = (p + q) / 2
+        if below(f.eval(m), _cminus(T, m)):
+            piece = _piece_over(f, p)
+            if not (piece.is_const and piece(m) == f1):
+                return report(next(t for t in gap_probes(p, q) if f.eval(t) != f1))
+    return None
+
+
+def _frame_report(
+    T: OrdinalSumTNorm, f: PwFn, s: Summand, lower: bool
+) -> Optional[CheckReport]:
+    """L3 (lower set) or U3 (upper set): the frame condition on summand s."""
+    if lower:
+        rule, name, witness, basic = "L3", "phi", def_lower_witness, basic_lower_violation
+    else:
+        rule, name, witness, basic = "U3", "psi", def_upper_witness, basic_upper_violation
+    lo, hi = s.lo, s.hi
+    if f.eval(lo) < lo:
+        return None  # premise of the frame condition fails; nothing to check
+    window = f.restrict(lo, hi)
+    if window.global_inf().value < lo:
+        x = _point_below(window, lo)
+        return violated(
+            rule,
+            witness(T, f, lo, x),
+            detail=f"{name} drops below the frame floor {fmt_rat(lo)}",
+        )
+    pair = basic(sigma_hat(T, f, s), s.kind)
+    if pair is None:
+        return None
+    x, y = frame_point(s, pair[0]), frame_point(s, pair[1])
+    return violated(
+        rule,
+        witness(T, f, x, y),
+        detail=f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}",
+    )
+
+
+def _point_below(window: PwFn, level: Rat) -> Rat:
+    """A real point of the window where the function is < level."""
+    for bp in window.breakpoints:
+        if bp.at < level:
+            return bp.x
+    for i, piece in enumerate(window.pieces):
+        left, right = window.breakpoints[i], window.breakpoints[i + 1]
+        for anchor, other, limit in ((left.x, right.x, left.right), (right.x, left.x, right.left)):
+            if limit < level:
+                return halve_toward(anchor, other, lambda t: piece(t) < level)
+    raise AssertionError("no point below level found")  # pragma: no cover
 
 
 def check_lower_set(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
@@ -498,34 +519,9 @@ def check_lower_set(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
 
     phi1 = phi.eval(ONE)
     P = hull_positions(T, phi, "lo")
-
-    # L2: phi(c) <= c-  forces  phi(c) = phi(1)
-    for c in P:
-        fc = phi.eval(c)
-        if fc <= _cminus(T, c) and fc != phi1:
-            return violated(
-                "L2",
-                PointWitness(
-                    c, (("phi(c)", fc), ("c_minus", _cminus(T, c)), ("phi(1)", phi1))
-                ),
-            )
-    for p, q in zip(P, P[1:]):
-        m = (p + q) / 2
-        if phi.eval(m) <= _cminus(T, m):
-            piece = _piece_over(phi, p)
-            if not (piece.is_const and piece(m) == phi1):
-                c = _probe_not_equal(phi, p, q, phi1)
-                return violated(
-                    "L2",
-                    PointWitness(
-                        c,
-                        (
-                            ("phi(c)", phi.eval(c)),
-                            ("c_minus", _cminus(T, c)),
-                            ("phi(1)", phi1),
-                        ),
-                    ),
-                )
+    rep = _floor_report(T, phi, P, lower=True)
+    if rep is not None:
+        return rep
 
     # L4: idempotent c with phi(c) >= c forces phi(1) >= c
     for c in P:
@@ -544,55 +540,10 @@ def check_lower_set(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
 
     # L3: per-summand frame condition
     for s in T.summands:
-        rep = _frame_lower_report(T, phi, s)
+        rep = _frame_report(T, phi, s, lower=True)
         if rep is not None:
             return rep
     return HOLDS
-
-
-def _frame_lower_report(
-    T: OrdinalSumTNorm, phi: PwFn, s: Summand
-) -> Optional[CheckReport]:
-    lo, hi = s.lo, s.hi
-    if phi.eval(lo) < lo:
-        return None  # premise of the frame condition fails; nothing to check
-    window = phi.restrict(lo, hi)
-    if window.global_inf().value < lo:
-        x = _point_below(window, lo)
-        return violated(
-            "L3",
-            def_lower_witness(T, phi, lo, x),
-            detail=f"phi drops below the frame floor {fmt_rat(lo)}",
-        )
-    sig = sigma_hat(T, phi, s)
-    pair = basic_lower_violation(sig, s.kind)
-    if pair is None:
-        return None
-    x, y = frame_point(s, pair[0]), frame_point(s, pair[1])
-    return violated(
-        "L3",
-        def_lower_witness(T, phi, x, y),
-        detail=f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}",
-    )
-
-
-def _point_below(window: PwFn, level: Rat) -> Rat:
-    """A real point of the window where the function is < level."""
-    for bp in window.breakpoints:
-        if bp.at < level:
-            return bp.x
-    for i, piece in enumerate(window.pieces):
-        u, v = window.breakpoints[i].x, window.breakpoints[i + 1].x
-        for anchor, other in ((u, v), (v, u)):
-            limit = window.breakpoints[i].right if anchor == u else window.breakpoints[i + 1].left
-            if limit < level:
-                step = (other - anchor) / 2
-                for _ in range(64):
-                    t = anchor + step
-                    if piece(t) < level:
-                        return t
-                    step /= 2
-    raise AssertionError("no point below level found")  # pragma: no cover
 
 
 def check_upper_set(T: OrdinalSumTNorm, psi: PwFn) -> CheckReport:
@@ -604,66 +555,12 @@ def check_upper_set(T: OrdinalSumTNorm, psi: PwFn) -> CheckReport:
         assert isinstance(w, PairWitness)
         return violated("U1", def_upper_witness(T, psi, w.a, w.b), detail="not increasing")
 
-    psi1 = psi.eval(ONE)
-    P = hull_positions(T, psi, "lo")
-
-    # U2: psi(c) < c-  (strict) forces  psi(c) = psi(1)
-    for c in P:
-        fc = psi.eval(c)
-        if fc < _cminus(T, c) and fc != psi1:
-            return violated(
-                "U2",
-                PointWitness(
-                    c, (("psi(c)", fc), ("c_minus", _cminus(T, c)), ("psi(1)", psi1))
-                ),
-            )
-    for p, q in zip(P, P[1:]):
-        m = (p + q) / 2
-        if psi.eval(m) < _cminus(T, m):
-            piece = _piece_over(psi, p)
-            if not (piece.is_const and piece(m) == psi1):
-                c = _probe_not_equal(psi, p, q, psi1)
-                return violated(
-                    "U2",
-                    PointWitness(
-                        c,
-                        (
-                            ("psi(c)", psi.eval(c)),
-                            ("c_minus", _cminus(T, c)),
-                            ("psi(1)", psi1),
-                        ),
-                    ),
-                )
-
+    rep = _floor_report(T, psi, hull_positions(T, psi, "lo"), lower=False)
+    if rep is not None:
+        return rep
     # U3: per-summand frame condition
     for s in T.summands:
-        rep = _frame_upper_report(T, psi, s)
+        rep = _frame_report(T, psi, s, lower=False)
         if rep is not None:
             return rep
     return HOLDS
-
-
-def _frame_upper_report(
-    T: OrdinalSumTNorm, psi: PwFn, s: Summand
-) -> Optional[CheckReport]:
-    lo, hi = s.lo, s.hi
-    if psi.eval(lo) < lo:
-        return None
-    window = psi.restrict(lo, hi)
-    if window.global_inf().value < lo:
-        x = _point_below(window, lo)
-        return violated(
-            "U3",
-            def_upper_witness(T, psi, lo, x),
-            detail=f"psi drops below the frame floor {fmt_rat(lo)}",
-        )
-    sig = sigma_hat(T, psi, s)
-    pair = basic_upper_violation(sig, s.kind)
-    if pair is None:
-        return None
-    x, y = frame_point(s, pair[0]), frame_point(s, pair[1])
-    return violated(
-        "U3",
-        def_upper_witness(T, psi, x, y),
-        detail=f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}",
-    )

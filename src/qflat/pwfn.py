@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from ._sup import SupResult
+from ._sup import SupResult, quad_roots
 from .rat import (
     ONE,
     ZERO,
@@ -32,7 +32,6 @@ from .rat import (
     ensure_unit,
     fmt_rat,
     parse_rat,
-    rat_sqrt,
 )
 from .report import HOLDS, CheckReport, PairWitness, violated
 
@@ -120,6 +119,17 @@ def chord(x0: Rat, y0: Rat, x1: Rat, y1: Rat) -> LinFrac:
     return affine_piece(slope, y0 - slope * x0)
 
 
+def _meets(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> tuple:
+    """:func:`quad_roots` of the numerator of p - q over (u, v)."""
+    return quad_roots(
+        p.a * q.c - q.a * p.c,
+        p.a * q.d + p.b * q.c - q.a * p.d - q.b * p.c,
+        p.b * q.d - q.b * p.d,
+        u,
+        v,
+    )
+
+
 def equal_points(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
     """All x strictly inside (u, v) with p(x) = q(x), touch points included.
 
@@ -127,35 +137,12 @@ def equal_points(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
     is then not isolated points at all).  Raises :class:`ExactnessError`
     when an irrational solution exists inside the gap.
     """
-    A = p.a * q.c - q.a * p.c
-    B = p.a * q.d + p.b * q.c - q.a * p.d - q.b * p.c
-    C = p.b * q.d - q.b * p.d
-    if A == 0 and B == 0:
-        return []
-    if A == 0:
-        x = -C / B
-        return [x] if u < x < v else []
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return []
-    root = rat_sqrt(disc)
-    if root is not None:
-        xs = sorted({(-B - root) / (2 * A), (-B + root) / (2 * A)})
-        return [x for x in xs if u < x < v]
-
-    def N(x: Rat) -> Rat:
-        return (A * x + B) * x + C
-
-    nu, nv = N(u), N(v)
-    vertex = -B / (2 * A)
-    inside = (nu > 0) != (nv > 0) or (
-        u < vertex < v and nu != 0 and ((N(vertex) > 0) != (nu > 0) or N(vertex) == 0)
-    )
-    if inside:
+    xs = [x for x, _ in _meets(p, q, u, v)]
+    if xs and xs[0] is None:
         raise ExactnessError(
             f"irrational piece equality inside ({fmt_rat(u)}, {fmt_rat(v)})"
         )
-    return []
+    return xs
 
 
 def crossings(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
@@ -166,43 +153,34 @@ def crossings(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
     not affect pointwise min/max.  Raises :class:`ExactnessError` if a
     sign change happens at an irrational point.
     """
-    A = p.a * q.c - q.a * p.c
-    B = p.a * q.d + p.b * q.c - q.a * p.d - q.b * p.c
-    C = p.b * q.d - q.b * p.d
-    if A == 0 and B == 0:
-        return []
-    if A == 0:
-        x = -C / B
-        return [x] if u < x < v else []
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return []
-    if disc == 0:
-        return []  # double root: touch, no sign change
-    root = rat_sqrt(disc)
-    if root is not None:
-        xs = sorted(((-B - root) / (2 * A), (-B + root) / (2 * A)))
-        return [x for x in xs if u < x < v]
-    # Irrational roots.  They only matter if one of them sits strictly
-    # inside the gap; then the sign genuinely flips there.
-    def N(x: Rat) -> Rat:
-        return (A * x + B) * x + C
+    xs = [x for x, slope in _meets(p, q, u, v) if slope]
+    if xs and xs[0] is None:
+        what = "crossing pair" if len(xs) == 2 else "crossing"
+        raise ExactnessError(
+            f"irrational {what} of pieces inside ({fmt_rat(u)}, {fmt_rat(v)})"
+        )
+    return xs
 
-    nu, nv = N(u), N(v)
-    if nu == 0 or nv == 0:
-        # a rational boundary root forces the other root rational too,
-        # contradicting the irrational discriminant
-        raise ExactnessError("inconsistent quadratic root analysis")
-    if (nu > 0) != (nv > 0):
-        raise ExactnessError(
-            f"irrational crossing of pieces inside ({fmt_rat(u)}, {fmt_rat(v)})"
-        )
-    vertex = -B / (2 * A)
-    if u < vertex < v and ((N(vertex) > 0) != (nu > 0)):
-        raise ExactnessError(
-            f"irrational crossing pair of pieces inside ({fmt_rat(u)}, {fmt_rat(v)})"
-        )
-    return []
+
+def gap_probes(u: Rat, v: Rat) -> tuple[Rat, Rat, Rat]:
+    """Three distinct points of (u, v).  Two pieces that differ somewhere on
+    the gap agree at two points at most, so they differ at one of these."""
+    return ((u + v) / 2, u + (v - u) / 4, u + 3 * (v - u) / 4)
+
+
+def halve_toward(anchor: Rat, other: Rat, ok: Callable[[Rat], bool]) -> Rat:
+    """The first t = anchor + (other - anchor)/2**k, k = 1..64, with ok(t).
+
+    Witness searches use it for a violation that holds at every point close
+    enough to ``anchor`` on the side of ``other``.
+    """
+    step = (other - anchor) / 2
+    for _ in range(64):
+        t = anchor + step
+        if ok(t):
+            return t
+        step /= 2
+    raise AssertionError("witness search failed")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -362,32 +340,21 @@ class PwFn:
                 step = (v - u) / 4
                 return witness(u + step, v - step)
         for i, bp in enumerate(self.breakpoints):
-            if i > 0 and (bp.left - bp.at) * want > 0:
-                # value approaches bp from the left on the wrong side of at
-                a = self._approach(i - 1, bp.x, bp.at, from_left=True, want=want)
-                return witness(a, bp.x)
-            if i < len(self.breakpoints) - 1 and (bp.right - bp.at) * want < 0:
-                b = self._approach(i, bp.x, bp.at, from_left=False, want=want)
-                return witness(bp.x, b)
-        return HOLDS
-
-    def _approach(self, gap: int, x: Rat, ref: Rat, from_left: bool, want: int) -> Rat:
-        """A real point near x (inside the given gap) witnessing a jump violation."""
-        other = self.breakpoints[gap].x if from_left else self.breakpoints[gap + 1].x
-        step = (x - other) / 2 if from_left else (other - x) / 2
-        piece = self.pieces[gap]
-        t = x - step if from_left else x + step
-        for _ in range(64):
-            val = piece(t)
             # a pair straddling the jump violates the direction when the
             # nearby value sits on the wrong side of the point value
-            if from_left and (val - ref) * want > 0:
-                return t
-            if not from_left and (val - ref) * want < 0:
-                return t
-            step /= 2
-            t = x - step if from_left else x + step
-        raise AssertionError("jump witness search failed")  # pragma: no cover
+            if i > 0 and (bp.left - bp.at) * want > 0:
+                piece = self.pieces[i - 1]
+                a = halve_toward(
+                    bp.x, self.breakpoints[i - 1].x, lambda t: (piece(t) - bp.at) * want > 0
+                )
+                return witness(a, bp.x)
+            if i < len(self.breakpoints) - 1 and (bp.right - bp.at) * want < 0:
+                piece = self.pieces[i]
+                b = halve_toward(
+                    bp.x, self.breakpoints[i + 1].x, lambda t: (piece(t) - bp.at) * want < 0
+                )
+                return witness(bp.x, b)
+        return HOLDS
 
     # -- structural surgery ---------------------------------------------------
 
@@ -551,7 +518,7 @@ def _pointwise(f: PwFn, g: PwFn, pick: Callable) -> PwFn:
         # no sign change inside the refined gap; probe up to three points
         # to see past an isolated touch point
         chosen = f1.pieces[i]
-        for t in ((u + v) / 2, u + (v - u) / 4, u + 3 * (v - u) / 4):
+        for t in gap_probes(u, v):
             fa, ga = f1.pieces[i](t), g1.pieces[i](t)
             if fa != ga:
                 chosen = f1.pieces[i] if pick(fa, ga) == fa else g1.pieces[i]

@@ -101,6 +101,21 @@ class TestEval:
 
 
 class TestCheck:
+    def test_exact_refusal_exit_3(self, capsys, tmp_path):
+        # the two principals cross at an irrational point inside (1/6, 3/8);
+        # the refusal is named, not reported as an internal error
+        spec = tmp_path / "t.spec"
+        spec.write_text(
+            "tnorm T\n"
+            "summand 1/12 3/8 product\n"
+            "summand 13/24 7/12 lukasiewicz\n"
+            "summand 2/3 17/24 lukasiewicz\n"
+        )
+        expr = "min(principal_lower(T, 1/6), principal_upper(T, 2/3))"
+        code, out, err = run(capsys, "--spec", str(spec), "check", "T", "lower", expr)
+        assert (code, out) == (3, "")
+        assert err == "domain error: irrational crossing of pieces inside (1/6, 3/8)\n"
+
     def test_flat_principal_holds(self, capsys, spec_path):
         code, out, _ = run(
             capsys, "--spec", spec_path, "check", "T4", "flat", "principal_lower(T4, 1/3)"
@@ -243,6 +258,17 @@ class TestSpecFile:
             text=True,
         )
         assert proc.returncode == 0 and proc.stdout.split()[0] == "1/4"
+
+    def test_spec_file_closed(self):
+        demo = Path(__file__).resolve().parents[1] / "demo.spec"
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "qflat",
+             "--spec", str(demo), "eval", "godel", "conj", "1/2", "1/4"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split()[0] == "1/4"
 
     def test_console_script(self):
         # The `qflat` executable exists only once the package is installed,

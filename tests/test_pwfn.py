@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflat import Breakpoint, DomainError, PwFn, pwfn
+from qflat import Breakpoint, DomainError, ExactnessError, PwFn, SupResult, pwfn
+from qflat._sup import sup_ratfunc
 from qflat.pwfn import (
+    LinFrac,
     affine_piece,
     affine_transport,
     const_piece,
@@ -215,6 +217,26 @@ class TestPieces:
         a = affine_piece(F(2), F(0))
         b = const_piece(F(1, 2))
         assert equal_points(a, b, F(0), F(1)) == [F(1, 4)]
+
+    def test_tangent_touch_is_equal_point_not_crossing(self):
+        # x and 1/(4(1-x)) touch at 1/2: x - q(x) = -(2x - 1)^2 / (4(1 - x))
+        p = affine_piece(F(1), F(0))
+        q = LinFrac(F(0), F(-1, 4), F(1), F(-1))
+        assert equal_points(p, q, F(0), F(9, 10)) == [F(1, 2)]
+        assert crossings(p, q, F(0), F(9, 10)) == []
+
+
+class TestSupRatfunc:
+    def test_irrational_minimum_inside_is_harmless(self):
+        # (x^2+1)/(x+1): local minimum at sqrt(2)-1 inside, maximum at
+        # -1-sqrt(2) outside, so the supremum is the endpoint value 1
+        num, den = (F(1), F(0), F(1)), (F(1), F(1))
+        assert sup_ratfunc(num, den, F(0), F(1)) == SupResult(F(1), False)
+
+    def test_irrational_maximum_inside_is_refused(self):
+        num, den = (F(-1), F(0), F(-1)), (F(1), F(1))
+        with pytest.raises(ExactnessError):
+            sup_ratfunc(num, den, F(0), F(1))
 
 
 class TestTextFormat:
