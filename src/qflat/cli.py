@@ -22,6 +22,7 @@ from .oracle import (
     random_tnorm,
     verify_adjunction,
     verify_sandwich,
+    yoneda_suite,
 )
 from .order import check_lower_set, check_upper_set, principal_lower, principal_upper, tensor
 from .pwfn import PwFn, pointwise_max, pointwise_min
@@ -211,14 +212,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     families = _verify_families(args, spec)
     ok = True
     lines: list[str] = []
+    per_family = {
+        "adjunction": lambda T: verify_adjunction(T, GridSpec(args.grid)),
+        "sandwich": lambda T: verify_sandwich(T, GridSpec(args.grid)),
+        "yoneda": lambda T: yoneda_suite(T, TrialConfig(args.trials, args.seed)),
+    }
 
     def run(suite: str) -> None:
         nonlocal ok
-        if suite in ("adjunction", "sandwich"):
-            grid = GridSpec(args.grid)
-            verify = verify_adjunction if suite == "adjunction" else verify_sandwich
+        if suite in per_family:
             for T in families:
-                rep = verify(T, grid)
+                rep = per_family[suite](T)
                 ok &= rep.holds
                 status = "PASS" if rep.holds else "FAIL"
                 lines.append(f"{status} {suite} family={T.describe()} {rep.describe()}")
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--suite",
         default="all",
-        choices=["adjunction", "sandwich", "equivalence", "lemma37", "all"],
+        choices=["adjunction", "sandwich", "equivalence", "lemma37", "yoneda", "all"],
     )
     pv.add_argument("--trials", type=int, default=60)
     pv.add_argument("--grid", type=int, default=60)

@@ -347,12 +347,17 @@ def _verified_pair_witness(
     candidates: list[Rat],
     frame: Optional[Summand] = None,
 ) -> Optional[TensorWitness]:
-    """Try canonical upper-set pairs until one strictly breaks flatness."""
+    """Try canonical upper-set pairs until one strictly breaks flatness.
+
+    phi must be a lower set, phi(0) = 1 or not: the canonical pair at c then
+    has the single tensors conj(phi(0), phi(c)) and phi(c) (Yoneda).
+    """
     candidates = candidates[:12]
-    trials: list[tuple[Rat, PwFn, PwFn]] = []
+    phi0 = phi.eval(ZERO)
+    trials: list[tuple[Rat, PwFn, PwFn, Optional[tuple[Rat, Rat]]]] = []
     for c in candidates:
         psi1, psi2 = witness_upper_pair(T, phi, c)
-        trials.append((c, psi1, psi2))
+        trials.append((c, psi1, psi2, (T.conj(phi0, phi.eval(c)), phi.eval(c))))
     if frame is not None:
         sigma = restricted_cap(phi, frame)
         for c in candidates:
@@ -361,11 +366,10 @@ def _verified_pair_witness(
             k = sigma.eval(c)
             psi1 = lift_frame_upper(T, frame, PwFn.constant(k, frame.lo, frame.hi))
             psi2 = lift_frame_upper(T, frame, frame_principal_upper(T, frame, c))
-            trials.append((c, psi1, psi2))
-    for c, psi1, psi2 in trials:
+            trials.append((c, psi1, psi2, None))
+    for c, psi1, psi2, sep in trials:
         joint = tensor(T, phi, pointwise_min(psi1, psi2)).value
-        t1 = tensor(T, phi, psi1).value
-        t2 = tensor(T, phi, psi2).value
+        t1, t2 = sep or (tensor(T, phi, psi1).value, tensor(T, phi, psi2).value)
         if joint < min(t1, t2):
             return TensorWitness(c, psi1, psi2, joint, t1, t2)
     return None

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .ideal import NetSpec, check_flat, net_ideal, pasted_flat, witness_upper_pair
 from .order import (
@@ -25,6 +25,7 @@ from .order import (
     principal_lower,
     principal_upper,
     tensor,
+    tensor_reaches,
 )
 from .pwfn import Breakpoint, PwFn, pointwise_max, pointwise_min, pwfn
 from .rat import ONE, ZERO, DomainError, Rat
@@ -153,13 +154,18 @@ def verify_adjunction(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
     conj(x,z) <= y) never exceeds the closed form, with equality whenever
     the closed-form value lies on the grid.  Each row of ``T.conj`` and
     ``T.residuum`` values is compared on integers scaled by the row's lcm;
-    witnesses carry the rationals.
+    witnesses carry the rationals.  A wrong value inside its grid cell passes
+    those, so the same rows then meet exact laws (:func:`_broken_laws`).
     """
     pts = grid.points(T)
     n = len(pts)
+    conj_rows: list[list[Rat]] = []
+    broken: list[CheckReport] = []
     for x in pts:
         conj_row = [T.conj(x, y) for y in pts]
         res_row = [T.residuum(x, z) for z in pts]
+        conj_rows.append(conj_row)
+        broken += _broken_laws(T, pts, conj_rows, res_row)
         _, (P, C, R) = _scale_to_lcm(pts, conj_row, res_row)
         for j, y in enumerate(P):
             kc = bisect.bisect_left(P, C[j])
@@ -193,7 +199,31 @@ def verify_adjunction(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
                         ),
                         detail="grid residuum disagrees with closed form",
                     )
+    if broken:
+        return broken[0]
     return CheckReport(True, detail=f"adjunction exact on {n}^3 grid triples")
+
+
+def _broken_laws(
+    T: OrdinalSumTNorm, pts: list[Rat], conj_rows: list[list[Rat]], res_row: list[Rat]
+) -> Iterator[CheckReport]:
+    """The exact laws the newest row breaks, in order (``pts`` ascends to 1)."""
+    i = len(conj_rows) - 1
+    x, row = pts[i], conj_rows[i]
+    laws = (
+        ("conj(1, y) = y", row, pts if x == ONE else row),
+        ("conj(0, y) = 0", row, [ZERO] * len(row) if x == ZERO else row),
+        ("conj(x, y) = conj(y, x)", row, [r[i] for r in conj_rows] + row[i + 1 :]),
+        ("residuum(x, y) = 1 iff x <= y",
+         [r == ONE for r in res_row], [k >= i for k in range(len(row))]),
+        ("conj(x, 1) = x", row, row[:-1] + [x]),
+        ("conj(c, c) = c", row, row[:i] + [x] + row[i + 1 :] if T.is_idempotent(x) else row),
+    )
+    for law, got, want in laws:
+        if got != want:
+            j = next(j for j, (g, w) in enumerate(zip(got, want)) if g != w)
+            values = (("x", x), ("y", pts[j]), ("conj(x,y)", row[j]), ("residuum(x,y)", res_row[j]))
+            yield violated("DEF", PointWitness(x, values), detail=f"law {law} fails")
 
 
 def verify_sandwich(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
@@ -301,7 +331,10 @@ def falsify_flat(T: OrdinalSumTNorm, phi: PwFn, cfg: TrialConfig) -> CheckReport
     """Sample upper-set pairs hunting for a flatness violation, exactly.
 
     Requires phi to be an inhabited fuzzy lower set; failing that, the
-    report carries rule PRE and points at the failed precondition.
+    report carries rule PRE and points at the failed precondition.  Given
+    it, tensor(phi, d_L(c, -)) = phi(c) (Yoneda) and tensor(phi, const k) =
+    conj(phi(0), k) are the single tensors of principal and constant
+    trials.  The joint is at most min(t1, t2); a trial asks if it gets there.
     """
     from .ideal import is_inhabited
 
@@ -318,33 +351,29 @@ def falsify_flat(T: OrdinalSumTNorm, phi: PwFn, cfg: TrialConfig) -> CheckReport
             witness=inh.witness,
             detail="precondition: not inhabited",
         )
+    phi0 = phi.eval(ZERO)
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
         c: Optional[Rat] = None
         if cfg.profile in ("mixed", "repaired") and trial % 4 == 3:
-            psi1 = random_upper(T, rng)
-            psi2 = random_upper(T, rng)
+            psi1, psi2 = random_upper(T, rng), random_upper(T, rng)
+            t1, t2 = tensor(T, phi, psi1).value, tensor(T, phi, psi2).value
         else:
-            kind = trial % 3 if cfg.profile == "mixed" else {
-                "principal": 0,
-                "constant": 1,
-            }.get(cfg.profile, trial % 3)
-            if kind == 0:
-                psi1 = principal_upper(T, random_rat(rng))
-                psi2 = principal_upper(T, random_rat(rng))
-            elif kind == 1:
-                psi1 = PwFn.constant(random_rat(rng))
-                psi2 = principal_upper(T, random_rat(rng))
-            else:
+            kind = {"principal": 0, "constant": 1}.get(cfg.profile, trial % 3)
+            if kind == 2:
                 c = random_rat(rng)
                 psi1, psi2 = witness_upper_pair(T, phi, c)
-        joint = tensor(T, phi, pointwise_min(psi1, psi2)).value
-        t1 = tensor(T, phi, psi1).value
-        t2 = tensor(T, phi, psi2).value
-        if joint != min(t1, t2):
+                t1, t2 = T.conj(phi0, phi.eval(c)), phi.eval(c)
+            else:
+                a, b = random_rat(rng), random_rat(rng)
+                psi1 = principal_upper(T, a) if kind == 0 else PwFn.constant(a)
+                t1 = phi.eval(a) if kind == 0 else T.conj(phi0, a)
+                psi2, t2 = principal_upper(T, b), phi.eval(b)
+        both = pointwise_min(psi1, psi2)
+        if not tensor_reaches(T, phi, both, min(t1, t2)):
             return violated(
                 "DEF",
-                TensorWitness(c, psi1, psi2, joint, t1, t2),
+                TensorWitness(c, psi1, psi2, tensor(T, phi, both).value, t1, t2),
                 detail=f"flatness violated at trial {trial}",
             )
     return CheckReport(True, detail=f"no counterexample in {cfg.trials} trials")
@@ -741,3 +770,31 @@ def lemma37_suite(cfg: TrialConfig) -> CheckReport:
                 detail=f"distributivity fails at trial {trial}",
             )
     return CheckReport(True, detail=f"exact on {cfg.trials} random triples")
+
+
+def yoneda_suite(T: OrdinalSumTNorm, cfg: TrialConfig) -> CheckReport:
+    """tensor against check_lower_set, no grid: for lower sets phi,
+    tensor(phi, d_L(c, -)) = (phi(c), attained) (Yoneda) and tensor(phi,
+    const k) = conj(phi(0), k); an L witness (x, y), or (c, 1) for a point
+    witness, of a ``random_pwfn`` f gives tensor(f, d_L(y, -)) > f(y)."""
+    rng = random.Random(cfg.seed)
+    witnesses = 0
+    for trial in range(cfg.trials):
+        phi = random_lower(T, rng) if trial % 2 else flat_candidates(T, rng, 1)[0]
+        c, k, f = random_rat(rng), random_rat(rng), random_pwfn(rng)
+        low = check_lower_set(T, f)
+        y = low.witness.b if isinstance(low.witness, PairWitness) else ONE
+        yon = tensor(T, phi, principal_upper(T, c))
+        const = tensor(T, phi, PwFn.constant(k)).value
+        wit = ZERO if low else tensor(T, f, principal_upper(T, y)).value
+        for name, at, ok, value in (
+            ("Yoneda form", c, yon == (phi.eval(c), True), yon.value),
+            ("constant form", k, const == T.conj(phi.eval(ZERO), k), const),
+            (f"{low.rule} witness", y, low.holds or wit > f.eval(y), wit),
+        ):
+            if not ok:
+                witness = PointWitness(at, (("tensor", value),))
+                return violated("DEF", witness, detail=f"{name} fails at trial {trial}")
+        witnesses += not low
+    detail = f"closed forms exact on {2 * cfg.trials} pairs and {witnesses} lower-set witnesses"
+    return CheckReport(True, detail=detail)

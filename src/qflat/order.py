@@ -197,11 +197,21 @@ def _conj_gap_sup(
 
 
 def tensor(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> SupResult:
-    """Exact supremum of x -> conj(phi(x), psi(x)), one-sided limits included.
+    """Exact supremum of x -> conj(phi(x), psi(x)), one-sided limits included."""
+    return _gap_walk(T, phi, psi, None)
 
-    Branch and bound: conj <= min and each piece is monotone or constant on
+
+def tensor_reaches(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, m: Rat) -> bool:
+    """Whether tensor(T, phi, psi).value >= m, without the rest of the sup."""
+    return _gap_walk(T, phi, psi, m).value >= m
+
+
+def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -> SupResult:
+    """Branch and bound: conj <= min and each piece is monotone or constant on
     its gap, so min(max of phi's limits, max of psi's limits) bounds a gap.
     Gaps go in descending bound order until a bound is below the best value.
+    With a target, the walk stops at the first bound below the target or once
+    the best value reaches it, and only tells whether the value reaches it.
     """
     _require_unit_domain(phi, "tensor operand")
     _require_unit_domain(psi, "tensor operand")
@@ -224,7 +234,7 @@ def tensor(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> SupResult:
     gaps = sorted(((min(max(lf[i]), max(lg[i])), i) for i in range(len(lf))), reverse=True)
     levels = T.idempotent_levels()
     for bound, i in gaps:
-        if bound < best:
+        if (bound < best) if target is None else (bound < target or best >= target):
             break
         fp, gp, u, v = phi2.pieces[i], psi2.pieces[i], pos[i], pos[i + 1]
         # a piece meets a level inside the gap iff the level lies strictly

@@ -45,20 +45,24 @@ def parse_rat(text: str) -> Rat:
     s = text.strip()
     if not s:
         raise ParseError("empty rational literal")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    huge = False
     try:
         if "/" in s:
             num, den = s.split("/", 1)
             value = Fraction(int(num), int(den))
         elif "." in s or "e" in s or "E" in s:
-            value = Fraction(s)
+            # Fraction builds 10**exponent: refuse one no printable value has
+            exp = s.lower().partition("e")[2]
+            huge = bool(exp and limit) and abs(int(exp)) > limit + len(s)
+            value = Fraction(0 if huge else s)
         else:
             value = Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}: {exc}") from None
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
     big = max(abs(value.numerator), value.denominator)
     # 10**limit has more than 3*limit bits: the power is built only when needed
-    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+    if huge or (limit and big.bit_length() > 3 * limit and big >= 10**limit):
         raise ParseError(f"rational literal {text!r} has more than {limit} digits")
     return value
 

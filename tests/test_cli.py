@@ -163,6 +163,26 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    def test_yoneda_suite(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "verify", "--suite", "yoneda", "--trials", "6")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 8
+        assert all(line.startswith("PASS yoneda family=") for line in lines)
+        # a tensor that forgets attainment breaks the Yoneda form: exit 1 with FAIL
+        import qflat.oracle as oracle
+        from qflat import SupResult
+
+        inner = oracle.tensor
+        monkeypatch.setattr(
+            oracle, "tensor", lambda T, f, g: SupResult(inner(T, f, g).value, False)
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "yoneda", "--trials", "6")
+        assert code == 1 and out.startswith("FAIL yoneda") and "Yoneda form fails" in out
+
+    def test_all_leaves_out_yoneda(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--grid", "4", "--trials", "2")
+        assert code == 0 and out and "yoneda" not in out
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(
             capsys, "verify", "--suite", "lemma37", "--seed", "11", "--trials", "10"

@@ -73,7 +73,30 @@ def fraction_adjunction(T, grid):
                         ),
                         detail="grid residuum disagrees with closed form",
                     )
+    law = fraction_laws(T, pts)
+    if law is not None:
+        return law
     return CheckReport(True, detail=f"adjunction exact on {n}^3 grid triples")
+
+
+def fraction_laws(T, pts):
+    """Reference: the first exact law broken, row by row, by a plain scan."""
+    for x in pts:
+        for law, bad in (
+            ("conj(1, y) = y", lambda y: x == 1 and T.conj(x, y) != y),
+            ("conj(0, y) = 0", lambda y: x == 0 and T.conj(x, y) != 0),
+            ("conj(x, y) = conj(y, x)", lambda y: y <= x and T.conj(x, y) != T.conj(y, x)),
+            ("residuum(x, y) = 1 iff x <= y", lambda y: (T.residuum(x, y) == 1) != (x <= y)),
+            ("conj(x, 1) = x", lambda y: y == 1 and T.conj(x, y) != x),
+            ("conj(c, c) = c", lambda y: y == x and T.is_idempotent(x) and T.conj(x, x) != x),
+        ):
+            y = next((y for y in pts if bad(y)), None)
+            if y is not None:
+                values = (
+                    ("x", x), ("y", y), ("conj(x,y)", T.conj(x, y)), ("residuum(x,y)", T.residuum(x, y))
+                )
+                return violated("DEF", PointWitness(x, values), detail=f"law {law} fails")
+    return None
 
 
 def fraction_sandwich(T, grid):
@@ -207,6 +230,46 @@ class TestVerifyAdjunction:
         bad = WrongCrossResiduum(t4.summands)
         rep = verify_adjunction(bad, GridSpec(16))
         assert not rep.holds and rep.witness is not None
+
+
+def with_conj(base, x, y, value):
+    """base with the single value conj(x, y) replaced."""
+
+    @dataclass(frozen=True)
+    class Patched(OrdinalSumTNorm):
+        def conj(self, a, b):
+            return value if (a, b) == (x, y) else OrdinalSumTNorm.conj(self, a, b)
+
+    return Patched(base.summands)
+
+
+class TestAdjunctionLaws:
+    """Wrong values that stay inside their grid cell, seen only by the laws."""
+
+    def test_wrong_unit_value_fails_at_resolution_4(self, t4):
+        T = with_conj(t4, ONE, F(3, 4), F(5, 8))
+        rep = verify_adjunction(T, GridSpec(4))
+        assert not rep.holds and rep.detail == "law conj(1, y) = y fails"
+        assert rep.witness == PointWitness(
+            ONE,
+            (("x", ONE), ("y", F(3, 4)), ("conj(x,y)", F(5, 8)), ("residuum(x,y)", F(3, 4))),
+        )
+
+    @pytest.mark.parametrize(
+        "x, y, value, law",
+        [
+            (F(1, 4), F(1, 2), F(1, 8), "conj(x, y) = conj(y, x)"),
+            (F(1, 4), ONE, F(1, 8), "conj(x, 1) = x"),
+            (F(1, 2), F(1, 2), F(5, 16), "conj(c, c) = c"),
+        ],
+    )
+    def test_each_law_is_named(self, t4, x, y, value, law):
+        rep = verify_adjunction(with_conj(t4, x, y, value), GridSpec(4))
+        assert not rep.holds and rep.detail == f"law {law} fails"
+        assert rep.witness.c in (x, y)
+
+    def test_passing_detail_unchanged(self, t4):
+        assert verify_adjunction(t4, GridSpec(4)).detail == "adjunction exact on 5^3 grid triples"
 
 
 class TestVerifySandwich:

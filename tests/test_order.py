@@ -10,6 +10,7 @@ from qflat.oracle import (
     flat_candidates,
     random_lower,
     random_pwfn,
+    random_rat,
     random_tnorm,
     random_upper,
 )
@@ -23,6 +24,7 @@ from qflat.order import (
     principal_lower,
     principal_upper,
     tensor,
+    tensor_reaches,
 )
 from qflat.pwfn import (
     LinFrac,
@@ -33,7 +35,7 @@ from qflat.pwfn import (
     pointwise_min,
 )
 from qflat.rat import ExactnessError
-from qflat.report import PairWitness
+from qflat.report import PairWitness, PointWitness
 
 from conftest import grid, grid_tensor, tnorm_over_997
 
@@ -179,45 +181,56 @@ def unpruned_tensor(T, phi, psi):
     return SupResult(best, any(reach for val, reach in cands if val == best))
 
 
+def pruning_population(seed, count=150):
+    """The (T, phi, psi) triples of TestTensorPruning."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        T = tnorm_over_997(rng) if rng.random() < 0.3 else random_tnorm(rng)
+        phi = rng.choice(
+            (
+                lambda: random_pwfn(rng),
+                lambda: random_lower(T, rng),
+                lambda: flat_candidates(T, rng, 1)[0],
+            )
+        )()
+        psi = rng.choice(
+            (
+                lambda: random_pwfn(rng),
+                lambda: random_upper(T, rng),
+                lambda: pointwise_min(random_upper(T, rng), random_upper(T, rng)),
+            )
+        )()
+        yield T, phi, psi
+
+
+def equal_bound_case():
+    phi = pwfn(
+        [
+            Breakpoint(F(0), F(1), F(1), F(1)),
+            Breakpoint(F(1, 2), F(1, 2), F(1, 2), F(1)),
+            Breakpoint(F(1), F(1), F(1), F(1)),
+        ]
+    )
+    psi = pwfn(
+        [
+            Breakpoint(F(0), F(0), F(0), F(0)),
+            Breakpoint(F(1, 2), F(1), F(0), F(1, 2)),
+            Breakpoint(F(1), F(1, 2), F(0), F(0)),
+        ]
+    )
+    return phi, psi
+
+
 class TestTensorPruning:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_unpruned_reference(self, seed):
-        rng = random.Random(seed)
-        for _ in range(150):
-            T = tnorm_over_997(rng) if rng.random() < 0.3 else random_tnorm(rng)
-            phi = rng.choice(
-                (
-                    lambda: random_pwfn(rng),
-                    lambda: random_lower(T, rng),
-                    lambda: flat_candidates(T, rng, 1)[0],
-                )
-            )()
-            psi = rng.choice(
-                (
-                    lambda: random_pwfn(rng),
-                    lambda: random_upper(T, rng),
-                    lambda: pointwise_min(random_upper(T, rng), random_upper(T, rng)),
-                )
-            )()
+        for T, phi, psi in pruning_population(seed):
             assert tensor(T, phi, psi) == unpruned_tensor(T, phi, psi)
 
     def test_equal_bound_gap_is_visited(self):
         # the first gap sets best = 1/2 as a limit only; the second gap's
         # bound equals 1/2 and it attains 1/2, so it must not be skipped
-        phi = pwfn(
-            [
-                Breakpoint(F(0), F(1), F(1), F(1)),
-                Breakpoint(F(1, 2), F(1, 2), F(1, 2), F(1)),
-                Breakpoint(F(1), F(1), F(1), F(1)),
-            ]
-        )
-        psi = pwfn(
-            [
-                Breakpoint(F(0), F(0), F(0), F(0)),
-                Breakpoint(F(1, 2), F(1), F(0), F(1, 2)),
-                Breakpoint(F(1), F(1, 2), F(0), F(0)),
-            ]
-        )
+        phi, psi = equal_bound_case()
         assert tensor(PRODUCT, phi, psi) == SupResult(F(1, 2), True)
         assert unpruned_tensor(PRODUCT, phi, psi) == SupResult(F(1, 2), True)
 
@@ -243,6 +256,90 @@ class TestTensorPruning:
         assert tensor(GODEL, phi, psi) == SupResult(F(1), True)
         with pytest.raises(ExactnessError):
             unpruned_tensor(GODEL, phi, psi)
+
+
+class TestTensorReaches:
+    def test_equal_bound_case_reaches_half(self):
+        phi, psi = equal_bound_case()
+        assert tensor_reaches(PRODUCT, phi, psi, F(1, 2))
+        assert not tensor_reaches(PRODUCT, phi, psi, F(1, 2) + F(1, 997))
+
+    def test_false_just_above_a_limit_sup(self):
+        # min(phi, x) climbs to 1/2 as x -> 1/2 from below and drops to 0 there
+        phi = pwfn(
+            [
+                Breakpoint(F(0), F(1), F(1), F(1)),
+                Breakpoint(F(1, 2), F(1), F(0), F(0)),
+                Breakpoint(F(1), F(0), F(0), F(0)),
+            ]
+        )
+        psi = PwFn.identity()
+        assert tensor(GODEL, phi, psi) == SupResult(F(1, 2), False)
+        assert tensor_reaches(GODEL, phi, psi, F(1, 2))
+        assert not tensor_reaches(GODEL, phi, psi, F(1, 2) + F(1, 997))
+
+    def test_gap_whose_bound_equals_target_is_visited(self):
+        # every breakpoint gives 0; the only gap has bound 1/2 and reaches it
+        phi = PwFn.constant(F(1, 2))
+        psi = pwfn(
+            [Breakpoint(F(0), F(0), F(0), F(0)), Breakpoint(F(1), F(1), F(0), F(0))]
+        )
+        assert tensor(GODEL, phi, psi) == SupResult(F(1, 2), True)
+        assert tensor_reaches(GODEL, phi, psi, F(1, 2))
+
+    def test_stops_at_first_gap_reaching_target(self, monkeypatch):
+        # two gaps of bound 1/2, each reaching 1/2 only as a limit: the
+        # full tensor visits both, the decision stops after the first
+        from qflat import order
+
+        psi = pwfn(
+            [
+                Breakpoint(F(0), F(0), F(0), F(0)),
+                Breakpoint(F(1, 2), F(1, 2), F(0), F(0)),
+                Breakpoint(F(1), F(1, 2), F(0), F(0)),
+            ]
+        )
+        phi = PwFn.constant(F(1))
+        calls = []
+        inner = order._conj_gap_sup
+        monkeypatch.setattr(order, "_conj_gap_sup", lambda *a: calls.append(a) or inner(*a))
+        assert tensor(GODEL, phi, psi) == SupResult(F(1, 2), False)
+        assert len(calls) == 2
+        calls.clear()
+        assert tensor_reaches(GODEL, phi, psi, F(1, 2))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_full_tensor_on_pruning_population(self, seed):
+        for T, phi, psi in pruning_population(seed):
+            value = tensor(T, phi, psi).value
+            for m in (value, value - F(1, 997), value + F(1, 997)):
+                assert tensor_reaches(T, phi, psi, m) == (value >= m), (T.describe(), m)
+
+
+class TestYonedaGuard:
+    """tensor tied to check_lower_set through its closed forms; no floats."""
+
+    def test_closed_forms_and_witnesses(self):
+        rng = random.Random(1973)
+        pairs = witnesses = 0
+        for fam in range(40):
+            T = tnorm_over_997(rng) if fam % 2 else random_tnorm(rng)
+            for i in range(40):
+                phi = random_lower(T, rng) if i % 2 else flat_candidates(T, rng, 1)[0]
+                c, k = random_rat(rng), random_rat(rng)
+                assert tensor(T, phi, principal_upper(T, c)) == SupResult(phi.eval(c), True)
+                assert tensor(T, phi, PwFn.constant(k)).value == T.conj(phi.eval(F(0)), k)
+                pairs += 2
+                f = random_pwfn(rng)
+                rep = check_lower_set(T, f)
+                if not rep.holds:
+                    w = rep.witness
+                    assert isinstance(w, (PairWitness, PointWitness))
+                    y = w.b if isinstance(w, PairWitness) else F(1)
+                    assert tensor(T, f, principal_upper(T, y)).value > f.eval(y), rep.describe()
+                    witnesses += 1
+        assert pairs == 3200 and witnesses > 500
 
 
 class TestCheckLowerSet:
