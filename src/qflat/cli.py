@@ -210,12 +210,14 @@ def _verify_families(args: argparse.Namespace, spec: SpecFile):
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     families = _verify_families(args, spec)
+    # built before any suite runs, so a bad budget or grid fails with no output
+    cfg, grid = TrialConfig(args.trials, args.seed), GridSpec(args.grid)
     ok = True
     lines: list[str] = []
     per_family = {
-        "adjunction": lambda T: verify_adjunction(T, GridSpec(args.grid)),
-        "sandwich": lambda T: verify_sandwich(T, GridSpec(args.grid)),
-        "yoneda": lambda T: yoneda_suite(T, TrialConfig(args.trials, args.seed)),
+        "adjunction": lambda T: verify_adjunction(T, grid),
+        "sandwich": lambda T: verify_sandwich(T, grid),
+        "yoneda": lambda T: yoneda_suite(T, cfg),
     }
 
     def run(suite: str) -> None:
@@ -227,13 +229,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 status = "PASS" if rep.holds else "FAIL"
                 lines.append(f"{status} {suite} family={T.describe()} {rep.describe()}")
         elif suite == "equivalence":
-            rep = equivalence_harness(
-                families, TrialConfig(args.trials, args.seed), grid_resolution=args.grid
-            )
+            rep = equivalence_harness(families, cfg, grid_resolution=args.grid)
             ok &= rep.ok
             lines.extend(f"{ln} suite=equivalence" for ln in rep.lines)
         elif suite == "lemma37":
-            rep = lemma37_suite(TrialConfig(max(args.trials * 10, 100), args.seed))
+            rep = lemma37_suite(TrialConfig(max(cfg.trials * 10, 100), cfg.seed))
             ok &= rep.holds
             status = "PASS" if rep.holds else "FAIL"
             lines.append(f"{status} lemma37 {rep.describe()}")

@@ -26,6 +26,7 @@ from .order import (
     principal_lower,
     principal_upper,
     tensor,
+    tensor_reaches,
     upper_piece,
 )
 from .pwfn import (
@@ -341,11 +342,31 @@ def witness_upper_pair(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> tuple[PwFn, PwF
     return PwFn.constant(phi.eval(c)), principal_upper(T, c)
 
 
-def _verified_pair_witness(
+def _separating_pair(
     T: OrdinalSumTNorm,
     phi: PwFn,
-    candidates: list[Rat],
-    frame: Optional[Summand] = None,
+    c: Optional[Rat],
+    psi1: PwFn,
+    psi2: PwFn,
+    t1: Optional[Rat] = None,
+    t2: Optional[Rat] = None,
+) -> Optional[TensorWitness]:
+    """The witness when tensor(phi, psi1 ^ psi2) < min(t1, t2), a single tensor
+    not given being computed in full.  conj is monotone, so the joint never
+    exceeds the minimum: only whether it reaches it is asked, and the joint
+    itself is computed for a witness alone."""
+    if t1 is None:
+        t1 = tensor(T, phi, psi1).value
+    if t2 is None:
+        t2 = tensor(T, phi, psi2).value
+    both = pointwise_min(psi1, psi2)
+    if tensor_reaches(T, phi, both, min(t1, t2)):
+        return None
+    return TensorWitness(c, psi1, psi2, tensor(T, phi, both).value, t1, t2)
+
+
+def _verified_pair_witness(
+    T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat], frame: Optional[Summand] = None
 ) -> Optional[TensorWitness]:
     """Try canonical upper-set pairs until one strictly breaks flatness.
 
@@ -354,24 +375,22 @@ def _verified_pair_witness(
     """
     candidates = candidates[:12]
     phi0 = phi.eval(ZERO)
-    trials: list[tuple[Rat, PwFn, PwFn, Optional[tuple[Rat, Rat]]]] = []
-    for c in candidates:
-        psi1, psi2 = witness_upper_pair(T, phi, c)
-        trials.append((c, psi1, psi2, (T.conj(phi0, phi.eval(c)), phi.eval(c))))
+    pairs = [
+        (c, *witness_upper_pair(T, phi, c), T.conj(phi0, phi.eval(c)), phi.eval(c))
+        for c in candidates
+    ]
     if frame is not None:
         sigma = restricted_cap(phi, frame)
         for c in candidates:
-            if not frame.lo <= c <= frame.hi:
-                continue
-            k = sigma.eval(c)
-            psi1 = lift_frame_upper(T, frame, PwFn.constant(k, frame.lo, frame.hi))
-            psi2 = lift_frame_upper(T, frame, frame_principal_upper(T, frame, c))
-            trials.append((c, psi1, psi2, None))
-    for c, psi1, psi2, sep in trials:
-        joint = tensor(T, phi, pointwise_min(psi1, psi2)).value
-        t1, t2 = sep or (tensor(T, phi, psi1).value, tensor(T, phi, psi2).value)
-        if joint < min(t1, t2):
-            return TensorWitness(c, psi1, psi2, joint, t1, t2)
+            if frame.lo <= c <= frame.hi:
+                k = sigma.eval(c)
+                psi1 = lift_frame_upper(T, frame, PwFn.constant(k, frame.lo, frame.hi))
+                psi2 = lift_frame_upper(T, frame, frame_principal_upper(T, frame, c))
+                pairs.append((c, psi1, psi2))
+    for pair in pairs:
+        wit = _separating_pair(T, phi, *pair)
+        if wit is not None:
+            return wit
     return None
 
 

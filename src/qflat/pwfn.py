@@ -423,9 +423,7 @@ class PwFn:
 
 
 def pwfn(
-    points: Sequence[Breakpoint],
-    pieces: Optional[Sequence[LinFrac]] = None,
-    canonical: bool = True,
+    points: Sequence[Breakpoint], pieces: Optional[Sequence[LinFrac]] = None
 ) -> PwFn:
     """Validate and canonicalize a breakpoint list into a PwFn.
 
@@ -470,15 +468,14 @@ def pwfn(
                     " its one-sided endpoint values"
                 )
 
-    if canonical:
-        i = 1
-        while i < len(pts) - 1:
-            bp = pts[i]
-            if bp.left == bp.at == bp.right and pcs[i - 1] == pcs[i]:
-                del pts[i]
-                del pcs[i]
-            else:
-                i += 1
+    i = 1
+    while i < len(pts) - 1:
+        bp = pts[i]
+        if bp.left == bp.at == bp.right and pcs[i - 1] == pcs[i]:
+            del pts[i]
+            del pcs[i]
+        else:
+            i += 1
     return PwFn(tuple(pts), tuple(pcs))
 
 

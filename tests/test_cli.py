@@ -183,6 +183,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "all", "--grid", "4", "--trials", "2")
         assert code == 0 and out and "yoneda" not in out
 
+    @pytest.mark.parametrize(
+        "suite", ["adjunction", "sandwich", "equivalence", "lemma37", "yoneda", "all"]
+    )
+    @pytest.mark.parametrize("bad", [("--trials", "0"), ("--trials", "-5"), ("--grid", "0")])
+    def test_bad_budget_fails_before_any_suite(self, capsys, suite, bad):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--grid", "4", *bad)
+        assert (code, out) == (3, "") and err.startswith("domain error:")
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(
             capsys, "verify", "--suite", "lemma37", "--seed", "11", "--trials", "10"

@@ -322,7 +322,8 @@ class TestFalsifiers:
     def test_counterexample_survives_refinement(self):
         rep = falsify_lower_set(GODEL, PwFn.identity(), GridSpec(16))
         w = rep.witness
-        finer = GridSpec(64, (w.a, w.b))
+        finer = GridSpec(64)
+        assert {w.a, w.b} <= set(finer.points(GODEL, PwFn.identity()))
         rep2 = falsify_lower_set(GODEL, PwFn.identity(), finer)
         assert not rep2.holds
 

@@ -318,7 +318,8 @@ class TestTensorReaches:
 
 
 class TestYonedaGuard:
-    """tensor tied to check_lower_set through its closed forms; no floats."""
+    """tensor tied to check_lower_set through its closed forms, and the meet
+    of two principal upper sets; no floats."""
 
     def test_closed_forms_and_witnesses(self):
         rng = random.Random(1973)
@@ -330,6 +331,9 @@ class TestYonedaGuard:
                 c, k = random_rat(rng), random_rat(rng)
                 assert tensor(T, phi, principal_upper(T, c)) == SupResult(phi.eval(c), True)
                 assert tensor(T, phi, PwFn.constant(k)).value == T.conj(phi.eval(F(0)), k)
+                # with the Yoneda form, decides every principal pair in falsify_flat
+                both = pointwise_min(principal_upper(T, c), principal_upper(T, k))
+                assert both == principal_upper(T, max(c, k))
                 pairs += 2
                 f = random_pwfn(rng)
                 rep = check_lower_set(T, f)
