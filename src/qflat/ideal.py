@@ -25,15 +25,14 @@ from .order import (
     lower_piece,
     principal_lower,
     principal_upper,
+    restricted_cap,
     tensor,
     tensor_reaches,
-    upper_piece,
 )
 from .pwfn import (
     Breakpoint,
     LinFrac,
     PwFn,
-    affine_piece,
     const_piece,
     pointwise_min,
     pwfn,
@@ -148,46 +147,6 @@ def frame_principal_lower(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
     return pwfn(pts, pcs)
 
 
-def frame_principal_upper(T: OrdinalSumTNorm, s: Summand, c: Rat) -> PwFn:
-    """The frame-principal upper set d_L^c(c, -) on [s.lo, s.hi]."""
-    lo, hi = s.lo, s.hi
-    if not lo <= c <= hi:
-        raise DomainError("principal point outside the frame")
-    if c == lo:
-        return PwFn.constant(hi, lo, hi)
-    piece = upper_piece(s, c)
-    pts = [Breakpoint(lo, piece(lo), piece(lo), piece(lo)), Breakpoint(c, hi, hi, hi)]
-    pcs = [piece]
-    if c < hi:
-        pts.append(Breakpoint(hi, hi, hi, hi))
-        pcs.append(const_piece(hi))
-    return pwfn(pts, pcs)
-
-
-def lift_frame_upper(T: OrdinalSumTNorm, s: Summand, psi: PwFn) -> PwFn:
-    """Extend a frame upper set to [0,1]: identity below, constant above."""
-    if (psi.lo, psi.hi) != (s.lo, s.hi):
-        raise DomainError("frame function does not match the summand")
-    pts: list[Breakpoint] = []
-    pcs: list[LinFrac] = []
-    if s.lo > 0:
-        pts.append(Breakpoint(ZERO, ZERO, ZERO, ZERO))
-        pcs.append(affine_piece(ONE, ZERO))
-        first = psi.breakpoints[0]
-        pts.append(Breakpoint(s.lo, s.lo, first.at, first.right))
-    else:
-        pts.append(psi.breakpoints[0])
-    pts.extend(psi.breakpoints[1:])
-    pcs.extend(psi.pieces)
-    top = psi.breakpoints[-1].at
-    if s.hi < ONE:
-        last = pts.pop()
-        pts.append(Breakpoint(last.x, last.left, last.at, last.at))
-        pcs.append(const_piece(top))
-        pts.append(Breakpoint(ONE, top, top, top))
-    return pwfn(pts, pcs)
-
-
 # ---------------------------------------------------------------------------
 # flat-ideal conditions
 
@@ -290,13 +249,6 @@ def _check_f3(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
     return HOLDS
 
 
-def restricted_cap(phi: PwFn, s: Summand) -> PwFn:
-    """sigma = min(c+, phi) on the frame of s, kept in frame coordinates."""
-    return pointwise_min(
-        phi.restrict(s.lo, s.hi), PwFn.constant(s.hi, s.lo, s.hi)
-    )
-
-
 def _difference_points(f: PwFn, g: PwFn) -> list[Rat]:
     """Frame points where two same-domain functions visibly differ."""
     pos = sorted({bp.x for bp in f.breakpoints} | {bp.x for bp in g.breakpoints})
@@ -338,8 +290,16 @@ def pasted_flat(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
 
 def witness_upper_pair(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> tuple[PwFn, PwFn]:
     """The canonical falsifying pair: psi1 constant phi(c), psi2 = d_L(c, -)."""
-    c = ensure_unit(Rat(c), "witness point")
+    c = Rat(ensure_unit(c, "witness point"))
     return PwFn.constant(phi.eval(c)), principal_upper(T, c)
+
+
+def _canonical_pair(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> tuple:
+    """(c, psi1, psi2, t1, t2) for the canonical pair at c.  phi must be a
+    lower set, phi(0) = 1 or not: the single tensors are then
+    conj(phi(0), phi(c)) and phi(c) (Yoneda)."""
+    fc = phi.eval(c)
+    return (c, *witness_upper_pair(T, phi, c), T.conj(phi.eval(ZERO), fc), fc)
 
 
 def _separating_pair(
@@ -368,30 +328,35 @@ def _separating_pair(
 def _verified_pair_witness(
     T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat], frame: Optional[Summand] = None
 ) -> Optional[TensorWitness]:
-    """Try canonical upper-set pairs until one strictly breaks flatness.
+    """The first upper-set pair that strictly breaks flatness, or None.
 
-    phi must be a lower set, phi(0) = 1 or not: the canonical pair at c then
-    has the single tensors conj(phi(0), phi(c)) and phi(c) (Yoneda).
+    The canonical pair of each candidate comes first, then on a frame the
+    lifted frame pairs; a pair is built only once every earlier one failed.
     """
-    candidates = candidates[:12]
-    phi0 = phi.eval(ZERO)
-    pairs = [
-        (c, *witness_upper_pair(T, phi, c), T.conj(phi0, phi.eval(c)), phi.eval(c))
-        for c in candidates
-    ]
-    if frame is not None:
-        sigma = restricted_cap(phi, frame)
-        for c in candidates:
-            if frame.lo <= c <= frame.hi:
-                k = sigma.eval(c)
-                psi1 = lift_frame_upper(T, frame, PwFn.constant(k, frame.lo, frame.hi))
-                psi2 = lift_frame_upper(T, frame, frame_principal_upper(T, frame, c))
-                pairs.append((c, psi1, psi2))
-    for pair in pairs:
+    for pair in _witness_pairs(T, phi, candidates[:12], frame):
         wit = _separating_pair(T, phi, *pair)
         if wit is not None:
             return wit
     return None
+
+
+def _witness_pairs(
+    T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat], frame: Optional[Summand]
+) -> Iterator[tuple]:
+    for c in candidates:
+        yield _canonical_pair(T, phi, c)
+    if frame is None:
+        return
+    # _check_f3 visits a frame only when phi(s.lo) > s.lo, and L3 then keeps
+    # phi >= s.lo on it, so k >= s.lo: lifted to [0,1] (identity below the
+    # frame, constant above), the frame constant k is min(d_L(s.lo, -), k) and
+    # the frame principal d_L^c(c, -) is min(d_L(c, -), s.hi)
+    sigma = restricted_cap(phi, frame)
+    floor, top = principal_upper(T, frame.lo), PwFn.constant(frame.hi)
+    for c in candidates:
+        if frame.lo <= c <= frame.hi:
+            psi1 = pointwise_min(floor, PwFn.constant(sigma.eval(c)))
+            yield c, psi1, pointwise_min(principal_upper(T, c), top)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +385,7 @@ def restrict_ideal(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> PwFn:
     flat ideal of the ambient quantale.  The restriction is returned in
     frame coordinates (domain [c-, c+]); its value at c- is exactly c+.
     """
-    c = ensure_unit(Rat(c), "restriction point")
+    c = Rat(ensure_unit(c, "restriction point"))
     hull = T.idem_hull(c)
     if hull.degenerate:
         raise DomainError(f"{fmt_rat(c)} is idempotent; the frame is degenerate")

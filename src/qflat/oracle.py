@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .ideal import NetSpec, _separating_pair, check_flat, is_inhabited, net_ideal
-from .ideal import pasted_flat, witness_upper_pair
+from .ideal import NetSpec, _canonical_pair, _separating_pair, check_flat, is_inhabited
+from .ideal import net_ideal, pasted_flat
 from .order import (
     check_lower_set,
     check_upper_set,
@@ -354,8 +354,7 @@ def falsify_flat(T: OrdinalSumTNorm, phi: PwFn, cfg: TrialConfig) -> CheckReport
             k, b = random_rat(rng), random_rat(rng)
             pair = (None, PwFn.constant(k), principal_upper(T, b), T.conj(phi0, k), phi.eval(b))
         else:
-            c = random_rat(rng)
-            pair = (c, *witness_upper_pair(T, phi, c), T.conj(phi0, phi.eval(c)), phi.eval(c))
+            pair = _canonical_pair(T, phi, random_rat(rng))
         wit = _separating_pair(T, phi, *pair)
         if wit is not None:
             return violated("DEF", wit, detail=f"flatness violated at trial {trial}")
@@ -369,8 +368,8 @@ def falsify_flat(T: OrdinalSumTNorm, phi: PwFn, cfg: TrialConfig) -> CheckReport
 _DENOMS = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24)
 
 
-def random_rat(rng: random.Random, denoms: Sequence[int] = _DENOMS) -> Rat:
-    d = rng.choice(denoms)
+def random_rat(rng: random.Random) -> Rat:
+    d = rng.choice(_DENOMS)
     return Fraction(rng.randint(0, d), d)
 
 
@@ -431,10 +430,12 @@ def random_upper(T: OrdinalSumTNorm, rng: random.Random) -> PwFn:
     """A genuine fuzzy upper set: combinations, or a repaired random mesh.
 
     Repaired meshes are projected onto the per-frame constraint sets
-    (Lipschitz cap in Lukasiewicz frames, ratio cap in product frames,
-    tail rule for the min region) and self-tested; on a failed self-test
-    the generator falls back to a lattice combination, which is always
-    sound because upper sets are closed under pointwise min and max.
+    (Lipschitz cap in Lukasiewicz frames, ratio cap in product frames) and
+    self-tested.  Nothing repairs the min region, so most meshes fail: of
+    1,500 drawn with ``random.Random(5)``, one ``random_tnorm`` each, 316
+    passed, 1,127 failed U2 and 57 failed U3.  On a failed self-test the
+    generator falls back to a lattice combination, which is always sound
+    because upper sets are closed under pointwise min and max.
     """
     style = rng.randrange(4)
     if style == 0:

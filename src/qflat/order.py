@@ -73,7 +73,7 @@ def upper_piece(s: Summand, c: Rat) -> LinFrac:
 
 def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
     """The principal lower set y -> d_L(y, x0), built exactly."""
-    x0 = ensure_unit(Rat(x0), "principal point")
+    x0 = Rat(ensure_unit(x0, "principal point"))
     if x0 == ONE:
         return PwFn.constant(ONE)
     s = next((s for s in T.summands if s.lo <= x0 < s.hi), None)
@@ -103,7 +103,7 @@ def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
 
 def principal_upper(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
     """The principal upper set y -> d_L(x0, y), built exactly."""
-    x0 = ensure_unit(Rat(x0), "principal point")
+    x0 = Rat(ensure_unit(x0, "principal point"))
     if x0 == ZERO:
         return PwFn.constant(ONE)
     s = next((s for s in T.summands if s.lo < x0 <= s.hi), None)
@@ -316,10 +316,12 @@ def sigma_hat(T: OrdinalSumTNorm, f: PwFn, s: Summand) -> PwFn:
 
     Requires f >= s.lo on [s.lo, s.hi] so the value transport is total.
     """
-    win = pointwise_min(
-        f.restrict(s.lo, s.hi), PwFn.constant(s.hi, s.lo, s.hi)
-    )
-    return affine_transport(win.reparam_to(ZERO, ONE), (s.lo, s.hi), (ZERO, ONE))
+    return affine_transport(restricted_cap(f, s).reparam_to(ZERO, ONE), (s.lo, s.hi), (ZERO, ONE))
+
+
+def restricted_cap(f: PwFn, s: Summand) -> PwFn:
+    """sigma = min(c+, f) on the frame of s, kept in frame coordinates."""
+    return pointwise_min(f.restrict(s.lo, s.hi), PwFn.constant(s.hi, s.lo, s.hi))
 
 
 def frame_point(s: Summand, t: Rat) -> Rat:

@@ -236,11 +236,9 @@ class PwFn:
 
     @staticmethod
     def constant(k: Rat, lo: Rat = ZERO, hi: Rat = ONE) -> "PwFn":
-        k = Rat(k)
-        return pwfn(
-            [Breakpoint(Rat(lo), k, k, k), Breakpoint(Rat(hi), k, k, k)],
-            [const_piece(k)],
-        )
+        k = Rat(ensure_unit(k, "constant value"))
+        lo, hi = (Rat(ensure_unit(v, "domain endpoint")) for v in (lo, hi))
+        return pwfn([Breakpoint(lo, k, k, k), Breakpoint(hi, k, k, k)], [const_piece(k)])
 
     @staticmethod
     def identity() -> "PwFn":
@@ -252,7 +250,10 @@ class PwFn:
     @staticmethod
     def from_points(points: Sequence[tuple[Rat, Rat]]) -> "PwFn":
         """Continuous piecewise-linear interpolation through (x, y) pairs."""
-        bps = [Breakpoint(Rat(x), Rat(y), Rat(y), Rat(y)) for x, y in points]
+        bps = []
+        for x, y in points:
+            y = Rat(ensure_unit(y, "point value"))
+            bps.append(Breakpoint(Rat(ensure_unit(x, "point")), y, y, y))
         return pwfn(bps)
 
     # -- evaluation ----------------------------------------------------------
@@ -260,7 +261,7 @@ class PwFn:
     def eval(self, x: Rat, side: Side = "at") -> Rat:
         if side not in _SIDES:
             raise DomainError(f"unknown side {side!r}")
-        x = Rat(x)
+        ensure_unit(x, "point")
         if not self.lo <= x <= self.hi:
             raise DomainError(
                 f"point {fmt_rat(x)} outside domain [{fmt_rat(self.lo)}, {fmt_rat(self.hi)}]"

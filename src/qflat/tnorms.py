@@ -140,7 +140,8 @@ def make_tnorm(summands: Iterable[Summand | tuple]) -> OrdinalSumTNorm:
             lo, hi, kind = s
             if isinstance(kind, str):
                 kind = SummandKind(kind.lower())
-            s = Summand(Rat(lo), Rat(hi), kind)
+            lo, hi = (Rat(ensure_unit(v, "summand endpoint")) for v in (lo, hi))
+            s = Summand(lo, hi, kind)
         norm.append(s)
     norm.sort(key=lambda s: (s.lo, s.hi))
     for a, b in zip(norm, norm[1:]):

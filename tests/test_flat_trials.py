@@ -16,14 +16,12 @@ from typing import Optional
 
 import pytest
 
-from qflat import GODEL, LUKASIEWICZ, PRODUCT, PwFn
+from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, DomainError, PwFn, make_tnorm, pwfn
 from qflat import ideal
 from qflat.ideal import (
     check_flat,
     flat_conditions,
-    frame_principal_upper,
     is_inhabited,
-    lift_frame_upper,
     restricted_cap,
     witness_upper_pair,
 )
@@ -37,11 +35,56 @@ from qflat.oracle import (
     random_tnorm,
     random_upper,
 )
-from qflat.order import check_lower_set, principal_upper, tensor
-from qflat.pwfn import pointwise_min
+from qflat.order import check_lower_set, principal_lower, principal_upper, tensor, upper_piece
+from qflat.pwfn import affine_piece, const_piece, pointwise_min
+from qflat.rat import ONE, ZERO
 from qflat.report import CheckReport, TensorWitness, violated
 
 from conftest import tnorm_over_997
+
+
+# Direct constructions of the lifted frame upper sets: the reference for the
+# library's frame pairs, which it builds as lattice combinations of principals.
+
+
+def frame_principal_upper(T, s, c):
+    """The frame-principal upper set d_L^c(c, -) on [s.lo, s.hi]."""
+    lo, hi = s.lo, s.hi
+    if not lo <= c <= hi:
+        raise DomainError("principal point outside the frame")
+    if c == lo:
+        return PwFn.constant(hi, lo, hi)
+    piece = upper_piece(s, c)
+    pts = [Breakpoint(lo, piece(lo), piece(lo), piece(lo)), Breakpoint(c, hi, hi, hi)]
+    pcs = [piece]
+    if c < hi:
+        pts.append(Breakpoint(hi, hi, hi, hi))
+        pcs.append(const_piece(hi))
+    return pwfn(pts, pcs)
+
+
+def lift_frame_upper(T, s, psi):
+    """Extend a frame upper set to [0,1]: identity below, constant above."""
+    if (psi.lo, psi.hi) != (s.lo, s.hi):
+        raise DomainError("frame function does not match the summand")
+    pts = []
+    pcs = []
+    if s.lo > 0:
+        pts.append(Breakpoint(ZERO, ZERO, ZERO, ZERO))
+        pcs.append(affine_piece(ONE, ZERO))
+        first = psi.breakpoints[0]
+        pts.append(Breakpoint(s.lo, s.lo, first.at, first.right))
+    else:
+        pts.append(psi.breakpoints[0])
+    pts.extend(psi.breakpoints[1:])
+    pcs.extend(psi.pieces)
+    top = psi.breakpoints[-1].at
+    if s.hi < ONE:
+        last = pts.pop()
+        pts.append(Breakpoint(last.x, last.left, last.at, last.at))
+        pcs.append(const_piece(top))
+        pts.append(Breakpoint(ONE, top, top, top))
+    return pwfn(pts, pcs)
 
 def reference_falsify_flat(T, phi, cfg):
     """The trial loop with three exact tensors per trial."""
@@ -85,7 +128,8 @@ def reference_falsify_flat(T, phi, cfg):
 
 
 def reference_pair_witness(T, phi, candidates, frame=None):
-    """_verified_pair_witness with three exact tensors for every pair."""
+    """_verified_pair_witness with three exact tensors for every pair, the
+    frame pairs built by the two frame-lift constructors above."""
     candidates = candidates[:12]
     trials = [(c, *witness_upper_pair(T, phi, c)) for c in candidates]
     if frame is not None:
@@ -163,3 +207,65 @@ def test_flat_checks_match_three_tensor_witnesses(seed, monkeypatch):
         }, T.describe()
         witnesses += sum(isinstance(v.witness, TensorWitness) for v in conds.values())
     assert witnesses >= 5
+
+
+@pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
+def test_frame_lifts_are_lattice_combinations_of_principals(draw):
+    """The frame pairs of _verified_pair_witness: each lifted frame upper set
+    is a principal upper set capped by a constant, as an exact PwFn."""
+    rng = random.Random(9)
+    checked = 0
+    for _ in range(40):
+        T = random_tnorm(rng) if draw == "random_tnorm" else tnorm_over_997(rng)
+        for s in T.summands:
+            inner = [s.lo + random_rat(rng) * (s.hi - s.lo) for _ in range(3)]
+            for c in [s.lo, s.hi, *inner]:
+                lifted = lift_frame_upper(T, s, frame_principal_upper(T, s, c))
+                assert lifted == pointwise_min(principal_upper(T, c), PwFn.constant(s.hi))
+                lifted = lift_frame_upper(T, s, PwFn.constant(c, s.lo, s.hi))
+                assert lifted == pointwise_min(principal_upper(T, s.lo), PwFn.constant(c))
+                checked += 1
+    assert checked >= 200
+
+
+class CountCalls:
+    """Counts the canonical pairs and principal upper sets ideal builds."""
+
+    def __init__(self, monkeypatch):
+        self.pairs = self.principals = 0
+        pair, principal = ideal.witness_upper_pair, ideal.principal_upper
+
+        def count_pair(*args):
+            self.pairs += 1
+            return pair(*args)
+
+        def count_principal(*args):
+            self.principals += 1
+            return principal(*args)
+
+        monkeypatch.setattr(ideal, "witness_upper_pair", count_pair)
+        monkeypatch.setattr(ideal, "principal_upper", count_principal)
+
+
+T4 = make_tnorm([(F(1, 4), F(1, 2), "lukasiewicz"), (F(1, 2), F(1), "product")])
+FRAME = T4.summands[1]
+CANDIDATES = [F(1, 2), F(11, 20), F(3, 5), F(4, 5)]  # _check_f3's on the step below
+
+
+def test_witness_search_stops_at_the_first_separating_pair(monkeypatch):
+    step = pwfn([Breakpoint(F(0), ONE, ONE, F(3, 5)), Breakpoint(ONE, F(3, 5), F(3, 5), F(3, 5))])
+    calls = CountCalls(monkeypatch)
+    wit = ideal._verified_pair_witness(T4, step, CANDIDATES, frame=FRAME)
+    assert isinstance(wit, TensorWitness) and wit.c == CANDIDATES[0]
+    # one canonical pair, whose d_L(c, -) is the only principal; the frame
+    # pairs would build more
+    assert (calls.pairs, calls.principals) == (1, 1)
+
+
+def test_witness_search_builds_frame_pairs_after_the_canonical_ones(monkeypatch):
+    flat = principal_lower(T4, F(3, 5))
+    calls = CountCalls(monkeypatch)
+    assert ideal._verified_pair_witness(T4, flat, CANDIDATES, frame=FRAME) is None
+    n = len(CANDIDATES)
+    # d_L(c, -) for each canonical and each frame pair, and d_L(s.lo, -) once
+    assert (calls.pairs, calls.principals) == (n, n + n + 1)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflat import GODEL, LUKASIEWICZ, PRODUCT, DomainError, ParseError, make_tnorm
+from qflat import GODEL, LUKASIEWICZ, PRODUCT, DomainError, ParseError, PwFn, make_tnorm
+from qflat.ideal import restrict_ideal, witness_upper_pair
+from qflat.order import principal_lower, principal_upper
 from qflat.rat import fmt_rat, parse_rat
 from qflat.tnorms import Frame, SummandKind, builtin, parse_tnorm_body, print_tnorm
 
@@ -243,6 +245,38 @@ class TestExactArguments:
         for bad in (-1, 2, F(-1, 3), F(4, 3)):
             with pytest.raises(DomainError, match=r"outside \[0,1\]"):
                 GODEL.conj(bad, F(1, 2))
+
+
+# Each entry point that builds an exact object from a scalar, with the exact
+# scalars it accepts at that position (no integer is interior to a summand).
+ENTRY_POINTS = {
+    "make_tnorm": (lambda v: make_tnorm([(v, F(3, 4), "product")]), (0, F(1, 4))),
+    "principal_lower": (lambda v: principal_lower(PRODUCT, v), (0, 1, F(1, 10))),
+    "principal_upper": (lambda v: principal_upper(PRODUCT, v), (0, 1, F(1, 10))),
+    "witness_upper_pair": (lambda v: witness_upper_pair(PRODUCT, PwFn.identity(), v), (1, F(1, 10))),
+    "restrict_ideal": (lambda v: restrict_ideal(PRODUCT, PwFn.constant(1), v), (F(1, 10),)),
+    "PwFn.constant": (lambda v: PwFn.constant(v), (0, F(1, 10))),
+    "PwFn.constant domain": (lambda v: PwFn.constant(F(1, 2), v, 1), (0, F(1, 10))),
+    "PwFn.from_points": (lambda v: PwFn.from_points([(0, v), (F(1, 2), v), (1, 1)]), (1, F(1, 10))),
+    "PwFn.from_points position": (lambda v: PwFn.from_points([(0, 0), (v, 0), (1, 1)]), (F(1, 10),)),
+    "PwFn.eval": (lambda v: PwFn.identity().eval(v), (1, F(1, 10))),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [0.1, 0.25, 1.0])
+def test_float_refused_before_conversion(name, bad):
+    """A float never becomes its binary fraction, however exact that is."""
+    build, _ = ENTRY_POINTS[name]
+    with pytest.raises(DomainError, match="is not an exact rational"):
+        build(bad)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_ints_and_fractions_still_build(name):
+    build, good = ENTRY_POINTS[name]
+    for value in good:
+        build(value)
 
 
 class TestParseRat:
