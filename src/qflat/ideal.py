@@ -7,7 +7,9 @@ membership (F1), values at or above the idempotent hull ceiling are
 themselves idempotent (F2), and the capped restriction to every active
 summand frame is a principal ideal of that frame (F3).  Violations of F2
 and F3 come with a concrete pair of upper sets separating the two sides
-of the flatness identity, with all three tensor values computed exactly.
+of the flatness identity, with all three tensor values computed exactly,
+whenever phi(0) = 1, as in every check_flat result; flat_conditions may
+fall back to a point witness when phi(0) < 1.
 """
 
 from __future__ import annotations
@@ -118,10 +120,10 @@ def _sup_position(phi: PwFn) -> Rat:
     for bp in phi.breakpoints:
         if bp.at == target:
             return bp.x
-    for i, bp in enumerate(phi.breakpoints):
+    for bp in phi.breakpoints:
         if bp.right == target or bp.left == target:
             return bp.x
-    return phi.breakpoints[0].x  # pragma: no cover
+    raise AssertionError("global_sup reads a breakpoint's at, left or right")
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +217,18 @@ def _check_f2(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
 
 
 def _f2_violation(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> CheckReport:
-    fc = phi.eval(c)
-    detail = (
-        f"phi(c)={fmt_rat(fc)} >= c_plus={fmt_rat(_cplus(T, c))}"
-        f" but {fmt_rat(fc)} is not idempotent"
-    )
-    wit = _verified_pair_witness(T, phi, [c])
-    if wit is not None:
-        return violated("F2", wit, detail=detail)
-    return violated("F2", PointWitness(c, (("phi(c)", fc), ("c_plus", _cplus(T, c)))), detail=detail)
+    fc, cplus = phi.eval(c), _cplus(T, c)
+    detail = f"phi(c)={fmt_rat(fc)} >= c_plus={fmt_rat(cplus)} but {fmt_rat(fc)}"
+    detail += " is not idempotent"
+    return _flat_violation("F2", T, phi, [c], (("phi(c)", fc), ("c_plus", cplus)), detail)
+
+
+def _flat_violation(
+    rule: str, T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat], values: tuple, detail: str
+) -> CheckReport:
+    """The violation with a separating canonical pair, else the point values."""
+    wit = _verified_pair_witness(T, phi, candidates)
+    return violated(rule, wit or PointWitness(candidates[0], values), detail=detail)
 
 
 def _check_f3(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
@@ -240,12 +245,8 @@ def _check_f3(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
             f"restriction to ({fmt_rat(s.lo)}, {fmt_rat(s.hi)}) is not the"
             f" frame-principal ideal at {fmt_rat(b)}"
         )
-        wit = _verified_pair_witness(T, phi, cands, frame=s)
-        if wit is not None:
-            return violated("F3", wit, detail=detail)
-        return violated(
-            "F3", PointWitness(cands[0], (("sigma", sigma.eval(cands[0])), ("principal", target.eval(cands[0])))), detail=detail
-        )
+        values = (("sigma", sigma.eval(cands[0])), ("principal", target.eval(cands[0])))
+        return _flat_violation("F3", T, phi, cands, values, detail)
     return HOLDS
 
 
@@ -260,8 +261,8 @@ def _difference_points(f: PwFn, g: PwFn) -> list[Rat]:
     for i in range(len(f2.pieces)):
         if f2.pieces[i] != g2.pieces[i]:
             out.append((pos[i] + pos[i + 1]) / 2)
-    if not out:  # differ only in one-sided limits; midpoints still expose it
-        out = [(a + b) / 2 for a, b in zip(pos, pos[1:])]
+    # pwfn() rejects a piece that disagrees with its stored one-sided limits
+    assert out, "equal values and pieces on a common refinement mean f == g"
     return sorted(set(out))
 
 
@@ -326,37 +327,35 @@ def _separating_pair(
 
 
 def _verified_pair_witness(
-    T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat], frame: Optional[Summand] = None
+    T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat]
 ) -> Optional[TensorWitness]:
-    """The first upper-set pair that strictly breaks flatness, or None.
+    """The first separating canonical pair of the first 12 candidates, or None.
 
-    The canonical pair of each candidate comes first, then on a frame the
-    lifted frame pairs; a pair is built only once every earlier one failed.
+    For a lower set with phi(0) = 1 a candidate of _check_f2 or _check_f3
+    separates.  At c, v = phi(c) is both single tensors; the joint is at most
+    conj(v, v) on x >= c and S = sup_{x<c} conj(phi(x), min(v, c->x)) below,
+    so the pair separates iff v is not idempotent and S < v.
+    F2: v >= c+ is not idempotent, so v > c+ >= S as c->x < c+ for x < c.
+    F3 on the frame [a, b] of a summand with phi(a) > a: phi >= a there
+    (L3), x < a adds at most a to S, and sigma = min(phi, b) may stand for
+    phi on [a, c).  In frame coordinates sigma is a lower set of
+    Lukasiewicz or product below tau = d(-, beta), beta = sigma(1).  If
+    sigma(0) < 1, candidates[0] = a separates: phi(a) lies in (a, b) and
+    S <= a.  Else let x1 = max{sigma = 1} and g = sigma + id (Lukasiewicz)
+    or sigma * id (product); sigma falls and g rises, so g is continuous.
+    sigma = tau off (x1, e'), e' = min{g = g(1)}, so the candidates lie
+    there, with 0 < v < 1.  A term of S is min(sigma(x) * v, G(g(x))), G
+    rising through v at g(c), so the pair fails iff g(c) = g(x1): on
+    (x1, e], e = max{g = g(x1)} < e'.  The pieces of sigma change at e and
+    e', so the refinement gap starting at e lies in (e, e') and its
+    midpoint separates; sigma is one piece on [x1, e] and tau breaks only
+    at beta, so at most four candidates come before it.
     """
-    for pair in _witness_pairs(T, phi, candidates[:12], frame):
-        wit = _separating_pair(T, phi, *pair)
+    for c in candidates[:12]:
+        wit = _separating_pair(T, phi, *_canonical_pair(T, phi, c))
         if wit is not None:
             return wit
     return None
-
-
-def _witness_pairs(
-    T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat], frame: Optional[Summand]
-) -> Iterator[tuple]:
-    for c in candidates:
-        yield _canonical_pair(T, phi, c)
-    if frame is None:
-        return
-    # _check_f3 visits a frame only when phi(s.lo) > s.lo, and L3 then keeps
-    # phi >= s.lo on it, so k >= s.lo: lifted to [0,1] (identity below the
-    # frame, constant above), the frame constant k is min(d_L(s.lo, -), k) and
-    # the frame principal d_L^c(c, -) is min(d_L(c, -), s.hi)
-    sigma = restricted_cap(phi, frame)
-    floor, top = principal_upper(T, frame.lo), PwFn.constant(frame.hi)
-    for c in candidates:
-        if frame.lo <= c <= frame.hi:
-            psi1 = pointwise_min(floor, PwFn.constant(sigma.eval(c)))
-            yield c, psi1, pointwise_min(principal_upper(T, c), top)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ skips principal/principal trials, which the identity
 d_L(a, -) ^ d_L(b, -) = d_L(max(a, b), -) decides.  The references below
 compute all three tensors of every trial, principal pairs included, as the
 definition does; every verdict, rule, detail and witness must agree.
+
+The library's witness search tries the canonical pairs
+(const phi(c), d_L(c, -)) only.  The reference search also tries, on a
+summand frame s, the frame pairs min(d_L(s.lo, -), k) and
+min(d_L(c, -), s.hi), built directly; agreement shows that they never
+change an outcome, and every F2 or F3 violation with phi(0) = 1 must
+carry a tensor witness.
 """
 
 import random
@@ -36,15 +43,15 @@ from qflat.oracle import (
     random_upper,
 )
 from qflat.order import check_lower_set, principal_lower, principal_upper, tensor, upper_piece
-from qflat.pwfn import affine_piece, const_piece, pointwise_min
+from qflat.pwfn import affine_piece, const_piece, linfrac, pointwise_min
 from qflat.rat import ONE, ZERO
 from qflat.report import CheckReport, TensorWitness, violated
 
 from conftest import tnorm_over_997
 
 
-# Direct constructions of the lifted frame upper sets: the reference for the
-# library's frame pairs, which it builds as lattice combinations of principals.
+# Direct constructions of the lifted frame upper sets, for the frame pairs the
+# reference witness search tries after the canonical ones.
 
 
 def frame_principal_upper(T, s, c):
@@ -127,19 +134,23 @@ def reference_falsify_flat(T, phi, cfg):
     return CheckReport(True, detail=f"no counterexample in {cfg.trials} trials")
 
 
-def reference_pair_witness(T, phi, candidates, frame=None):
-    """_verified_pair_witness with three exact tensors for every pair, the
-    frame pairs built by the two frame-lift constructors above."""
+def reference_pair_witness(T, phi, candidates):
+    """_verified_pair_witness with three exact tensors for every pair.  After
+    the canonical pairs it tries the frame pairs, built by the two frame-lift
+    constructors above, on every summand frame with phi(s.lo) > s.lo that
+    holds all candidates: for an F3 search, the frame it checks."""
     candidates = candidates[:12]
     trials = [(c, *witness_upper_pair(T, phi, c)) for c in candidates]
-    if frame is not None:
-        sigma = restricted_cap(phi, frame)
+    frames = [
+        s for s in T.summands
+        if phi.eval(s.lo) > s.lo and all(s.lo <= c <= s.hi for c in candidates)
+    ]
+    for s in frames:
+        sigma = restricted_cap(phi, s)
         for c in candidates:
-            if frame.lo <= c <= frame.hi:
-                k = sigma.eval(c)
-                psi1 = lift_frame_upper(T, frame, PwFn.constant(k, frame.lo, frame.hi))
-                psi2 = lift_frame_upper(T, frame, frame_principal_upper(T, frame, c))
-                trials.append((c, psi1, psi2))
+            psi1 = lift_frame_upper(T, s, PwFn.constant(sigma.eval(c), s.lo, s.hi))
+            psi2 = lift_frame_upper(T, s, frame_principal_upper(T, s, c))
+            trials.append((c, psi1, psi2))
     for c, psi1, psi2 in trials:
         joint = tensor(T, phi, pointwise_min(psi1, psi2)).value
         t1 = tensor(T, phi, psi1).value
@@ -200,32 +211,16 @@ def test_flat_checks_match_three_tensor_witnesses(seed, monkeypatch):
     monkeypatch.setattr(ideal, "_verified_pair_witness", reference_pair_witness)
     ref = [(check_flat(T, phi), flat_conditions(T, phi)) for T, phi in cases]
     witnesses = 0
-    for (T, _), (flat, conds), (flat_ref, conds_ref) in zip(cases, mine, ref):
+    for (T, phi), (flat, conds), (flat_ref, conds_ref) in zip(cases, mine, ref):
         assert outcome(flat) == outcome(flat_ref), T.describe()
         assert {r: outcome(v) for r, v in conds.items()} == {
             r: outcome(v) for r, v in conds_ref.items()
         }, T.describe()
         witnesses += sum(isinstance(v.witness, TensorWitness) for v in conds.values())
+        if phi.eval(ZERO) == ONE:
+            for rule in ("F2", "F3"):
+                assert conds[rule] or isinstance(conds[rule].witness, TensorWitness), T.describe()
     assert witnesses >= 5
-
-
-@pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
-def test_frame_lifts_are_lattice_combinations_of_principals(draw):
-    """The frame pairs of _verified_pair_witness: each lifted frame upper set
-    is a principal upper set capped by a constant, as an exact PwFn."""
-    rng = random.Random(9)
-    checked = 0
-    for _ in range(40):
-        T = random_tnorm(rng) if draw == "random_tnorm" else tnorm_over_997(rng)
-        for s in T.summands:
-            inner = [s.lo + random_rat(rng) * (s.hi - s.lo) for _ in range(3)]
-            for c in [s.lo, s.hi, *inner]:
-                lifted = lift_frame_upper(T, s, frame_principal_upper(T, s, c))
-                assert lifted == pointwise_min(principal_upper(T, c), PwFn.constant(s.hi))
-                lifted = lift_frame_upper(T, s, PwFn.constant(c, s.lo, s.hi))
-                assert lifted == pointwise_min(principal_upper(T, s.lo), PwFn.constant(c))
-                checked += 1
-    assert checked >= 200
 
 
 class CountCalls:
@@ -248,24 +243,50 @@ class CountCalls:
 
 
 T4 = make_tnorm([(F(1, 4), F(1, 2), "lukasiewicz"), (F(1, 2), F(1), "product")])
-FRAME = T4.summands[1]
 CANDIDATES = [F(1, 2), F(11, 20), F(3, 5), F(4, 5)]  # _check_f3's on the step below
 
 
 def test_witness_search_stops_at_the_first_separating_pair(monkeypatch):
     step = pwfn([Breakpoint(F(0), ONE, ONE, F(3, 5)), Breakpoint(ONE, F(3, 5), F(3, 5), F(3, 5))])
     calls = CountCalls(monkeypatch)
-    wit = ideal._verified_pair_witness(T4, step, CANDIDATES, frame=FRAME)
+    wit = ideal._verified_pair_witness(T4, step, CANDIDATES)
     assert isinstance(wit, TensorWitness) and wit.c == CANDIDATES[0]
-    # one canonical pair, whose d_L(c, -) is the only principal; the frame
-    # pairs would build more
+    # one canonical pair, whose d_L(c, -) is the only principal
     assert (calls.pairs, calls.principals) == (1, 1)
 
 
-def test_witness_search_builds_frame_pairs_after_the_canonical_ones(monkeypatch):
+def test_f3_witness_past_the_failing_candidates(monkeypatch):
+    """phi = 1, 1/(4x), 1/2 on [0, 1/4], [1/4, 1/2], [1/2, 1] under PRODUCT.
+    g(x) = phi(x) * x is still g(1/4) = 1/4 at the candidates 3/8 and 1/2,
+    so their canonical pairs fail, and the pair at 3/4 separates."""
+    q, half = F(1, 4), F(1, 2)
+    pts = [Breakpoint(F(0), ONE, ONE, ONE), Breakpoint(q, ONE, ONE, ONE)]
+    pts += [Breakpoint(half, half, half, half), Breakpoint(ONE, half, half, half)]
+    phi = pwfn(pts, [const_piece(ONE), linfrac(F(0), ONE, F(4), F(0)), const_piece(half)])
+    assert check_lower_set(PRODUCT, phi)
+    calls = CountCalls(monkeypatch)
+    rep = check_flat(PRODUCT, phi)
+    assert rep.rule == "F3" and isinstance(rep.witness, TensorWitness)
+    assert (rep.witness.c, rep.witness.joint, calls.pairs) == (F(3, 4), F(1, 3), 3)
+
+
+def test_witness_search_on_a_flat_builds_only_the_canonical_pairs(monkeypatch):
     flat = principal_lower(T4, F(3, 5))
     calls = CountCalls(monkeypatch)
-    assert ideal._verified_pair_witness(T4, flat, CANDIDATES, frame=FRAME) is None
+    assert ideal._verified_pair_witness(T4, flat, CANDIDATES) is None
     n = len(CANDIDATES)
-    # d_L(c, -) for each canonical and each frame pair, and d_L(s.lo, -) once
-    assert (calls.pairs, calls.principals) == (n, n + n + 1)
+    # d_L(c, -) for each canonical pair and nothing else
+    assert (calls.pairs, calls.principals) == (n, n)
+
+
+def test_f3_witness_with_phi0_below_one_under_product():
+    """A canonical pair can separate when phi(0) < 1: no shortcut may skip
+    the search there.  phi is 9/10 at 0 and 1/2 on (0, 1]."""
+    half = F(1, 2)
+    phi = pwfn([Breakpoint(F(0), F(9, 10), F(9, 10), half), Breakpoint(ONE, half, half, half)])
+    assert check_lower_set(PRODUCT, phi)
+    conds = flat_conditions(PRODUCT, phi)
+    assert conds["F1"].rule == "F1"
+    c = F(1, 4)
+    wit = TensorWitness(c, PwFn.constant(half), principal_upper(PRODUCT, c), c, F(9, 20), half)
+    assert (conds["F3"].holds, conds["F3"].rule, conds["F3"].witness) == (False, "F3", wit)

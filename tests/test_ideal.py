@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -19,10 +20,10 @@ from qflat.ideal import (
     witness_upper_pair,
 )
 from qflat.order import check_lower_set, principal_lower, principal_upper, tensor
-from qflat.pwfn import pointwise_min
+from qflat.pwfn import pointwise_max, pointwise_min
 from qflat.report import TensorWitness
 
-from conftest import grid_tensor
+from conftest import grid_tensor, tnorm_over_997
 
 
 def step(at_zero, tail):
@@ -280,3 +281,26 @@ class TestKSet:
         phi = principal_lower(t4, F(1, 4))
         assert tensor_via_k(t4, phi, PwFn.constant(F(1))) == 1
         assert grid_tensor(t4, phi, PwFn.constant(F(1))) == 1
+
+
+@pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
+def test_lattice_combinations_of_lower_sets_decide_exactly(draw):
+    """Pairwise min and max of principals, constants, random lower sets and
+    flats, check_flat on them and their tensors with random upper sets never
+    raise ExactnessError: every crossing and critical point stays rational.
+    The F3 mutant of mutated_flat stays out of the set, since its pieces can
+    cross others at irrational points."""
+    from qflat.oracle import flat_candidates, random_lower, random_rat, random_tnorm, random_upper
+
+    rng = random.Random(61)
+    combos = 0
+    for _ in range(30):
+        T = random_tnorm(rng) if draw == "random_tnorm" else tnorm_over_997(rng)
+        lowers = [principal_lower(T, random_rat(rng)), PwFn.constant(random_rat(rng))]
+        lowers += [random_lower(T, rng), *flat_candidates(T, rng, 1)]
+        for f, g in combinations(lowers, 2):
+            for h in (pointwise_min(f, g), pointwise_max(f, g)):
+                check_flat(T, h)
+                tensor(T, h, random_upper(T, rng))
+                combos += 1
+    assert combos == 30 * 12
