@@ -22,7 +22,6 @@ from .pwfn import (
     LinFrac,
     PwFn,
     affine_piece,
-    affine_transport,
     const_piece,
     crossings,
     equal_points,
@@ -311,24 +310,17 @@ def def_upper_witness(T: OrdinalSumTNorm, psi: PwFn, x: Rat, y: Rat) -> PairWitn
     return PairWitness(x, y, vx, vy, lhs, vy, "<=")
 
 
-def sigma_hat(T: OrdinalSumTNorm, f: PwFn, s: Summand) -> PwFn:
-    """min(c+, f) on the frame of s, transported onto the canonical [0,1].
-
-    Requires f >= s.lo on [s.lo, s.hi] so the value transport is total.
-    """
-    return affine_transport(restricted_cap(f, s).reparam_to(ZERO, ONE), (s.lo, s.hi), (ZERO, ONE))
-
-
 def restricted_cap(f: PwFn, s: Summand) -> PwFn:
     """sigma = min(c+, f) on the frame of s, kept in frame coordinates."""
     return pointwise_min(f.restrict(s.lo, s.hi), PwFn.constant(s.hi, s.lo, s.hi))
 
 
-def frame_point(s: Summand, t: Rat) -> Rat:
-    return s.lo + t * (s.hi - s.lo)
-
-
-# -- basic-case violations in transported coordinates ------------------------
+# -- basic-case violations in frame coordinates -------------------------------
+#
+# On a frame [lo, hi] the summand is the basic quantale carried by the affine
+# map x -> (x - lo)/(hi - lo).  Each basic law below is invariant under the
+# common scale factor hi - lo of arguments and values, so the laws are read
+# on the frame itself and only the offset lo enters.
 
 
 def _pair_near(anchor: Rat, other: Rat, bad: Callable[[Rat, Rat], bool]) -> tuple[Rat, Rat]:
@@ -342,14 +334,14 @@ def _pair_near(anchor: Rat, other: Rat, bad: Callable[[Rat, Rat], bool]) -> tupl
 
 
 def _jump_scan(
-    f: PwFn, bad: Callable[[Rat, Rat], bool], at_zero: bool
+    f: PwFn, bad: Callable[[Rat, Rat], bool], at_left_end: bool
 ) -> Optional[tuple[Rat, Rat]]:
     """A real pair straddling the first jump of f that satisfies ``bad``;
-    a jump at 0 counts only when ``at_zero``."""
+    a jump at the left end of the domain counts only when ``at_left_end``."""
     bps = f.breakpoints
     for i, bp in enumerate(bps):
         x0 = bp.x
-        if x0 == ZERO and not at_zero:
+        if i == 0 and not at_left_end:
             continue
         if i > 0 and bp.left != bp.at:
             return halve_toward(x0, bps[i - 1].x, lambda t: bad(t, x0)), x0
@@ -371,49 +363,61 @@ def _lukasiewicz_scan(sig: PwFn, sign: int) -> Optional[tuple[Rat, Rat]]:
             for anchor, other in ((u, v), (v, u)):
                 if sign * _mobius_deriv(piece, anchor) > 1:
                     return _pair_near(anchor, other, bad)
-    return _jump_scan(sig, bad, at_zero=True)
+    return _jump_scan(sig, bad, at_left_end=True)
 
 
 def basic_lower_violation(
     sig: PwFn, kind: SummandKind
 ) -> Optional[tuple[Rat, Rat]]:
-    """A pair (x, y) violating the basic-case lower-set law on [0,1], if any.
+    """A pair (x, y) violating the basic-case lower-set law on the frame
+    [lo, hi] = [sig.lo, sig.hi], if any.
 
     For the Lukasiewicz quantale the law is: decreasing and 1-Lipschitz.
-    For the product quantale: decreasing and x*f(x) non-decreasing, with
-    jumps allowed at 0 only.  The returned pair is oriented so that
-    conj(f(x), d_L(y, x)) > f(y) in that basic quantale.
+    For the product quantale: decreasing and (x - lo)*(f(x) - lo)
+    non-decreasing, with jumps allowed at lo only.  The returned pair is
+    oriented so that conj(f(x), d_L(y, x)) > f(y) in that basic quantale.
     """
     if kind is SummandKind.LUKASIEWICZ:
         return _lukasiewicz_scan(sig, -1)
-    # product kind: t(x) = x * f(x) must be non-decreasing; continuity off 0
-    drop = lambda a, b: a * sig.eval(a) > b * sig.eval(b)  # noqa: E731
+    lo = sig.lo
+
+    def drop(a: Rat, b: Rat) -> bool:
+        return (a - lo) * (sig.eval(a) - lo) > (b - lo) * (sig.eval(b) - lo)
+
     for i, piece in enumerate(sig.pieces):
         u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
         for anchor, other in ((u, v), (v, u)):
-            if _xf_deriv(piece, anchor) < 0:
+            # sign of the derivative of (x - lo)*(piece(x) - lo), monotone on the gap
+            if piece(anchor) - lo + (anchor - lo) * _mobius_deriv(piece, anchor) < 0:
                 return _pair_near(anchor, other, drop)
-    return _jump_scan(sig, drop, at_zero=False)
+    return _jump_scan(sig, drop, at_left_end=False)
 
 
 def basic_upper_violation(
     sig: PwFn, kind: SummandKind
 ) -> Optional[tuple[Rat, Rat]]:
-    """A pair (x, y) violating the basic-case upper-set law, oriented so
-    that conj(d_L(x, y), f(x)) > f(y); increasingness is assumed already
-    checked globally."""
+    """A pair (x, y) violating the basic-case upper-set law on the frame
+    [lo, hi] = [sig.lo, sig.hi], oriented so that conj(d_L(x, y), f(x)) > f(y);
+    increasingness is assumed already checked globally.
+
+    For the product quantale the law is: (f(x) - lo)/(x - lo) non-increasing
+    on (lo, hi], with jumps allowed at lo only.
+    """
     if kind is SummandKind.LUKASIEWICZ:
         pair = _lukasiewicz_scan(sig, 1)
     else:
-        # product kind: w(x) = f(x)/x must be non-increasing on (0, 1]
-        grow = lambda a, b: a * sig.eval(b) > b * sig.eval(a)  # noqa: E731
+        lo = sig.lo
+
+        def grow(a: Rat, b: Rat) -> bool:
+            return (a - lo) * (sig.eval(b) - lo) > (b - lo) * (sig.eval(a) - lo)
+
         for i, piece in enumerate(sig.pieces):
-            rise = _ratio_rise(piece, sig.breakpoints[i].x, sig.breakpoints[i + 1].x)
+            rise = _ratio_rise(piece, lo, sig.breakpoints[i].x, sig.breakpoints[i + 1].x)
             if rise is not None:
                 pair = _pair_near(*rise, grow)
                 break
         else:
-            pair = _jump_scan(sig, grow, at_zero=False)
+            pair = _jump_scan(sig, grow, at_left_end=False)
     return None if pair is None else (pair[1], pair[0])
 
 
@@ -422,28 +426,24 @@ def _mobius_deriv(piece: LinFrac, x: Rat) -> Rat:
     return (piece.a * piece.d - piece.b * piece.c) / (den * den)
 
 
-def _xf_deriv(piece: LinFrac, x: Rat) -> Rat:
-    """Derivative of x * piece(x); its sign is monotone over any pole-free gap."""
-    a, b, c, d = piece.a, piece.b, piece.c, piece.d
-    den = c * x + d
-    return ((a * c * x + 2 * a * d) * x + b * d) / (den * den)
+def _ratio_rise(piece: LinFrac, lo: Rat, u: Rat, v: Rat) -> Optional[tuple[Rat, Rat]]:
+    """An anchor/other pair where ((piece(x) - lo)/(x - lo))' > 0 holds at
+    the anchor, if any."""
+    # the shifted piece t -> piece(t + lo) - lo = (a*t + b)/(c*t + d)
+    c, d = piece.c, piece.c * lo + piece.d
+    a, b = piece.a - lo * c, piece.a * lo + piece.b - lo * d
 
+    def wnum(t: Rat) -> Rat:
+        # numerator of (shifted/t)': -ac t^2 - 2bc t - bd over positive square
+        return -(a * c) * t * t - 2 * b * c * t - b * d
 
-def _ratio_rise(piece: LinFrac, u: Rat, v: Rat) -> Optional[tuple[Rat, Rat]]:
-    """An anchor/other pair where (piece(x)/x)' > 0 holds at the anchor, if any."""
-    a, b, c, d = piece.a, piece.b, piece.c, piece.d
-
-    def wnum(x: Rat) -> Rat:
-        # numerator of (piece/x)': -ac x^2 - 2bc x - bd over positive square
-        return -(a * c) * x * x - 2 * b * c * x - b * d
-
-    if u > 0 and wnum(u) > 0:
+    if u > lo and wnum(u - lo) > 0:
         return u, v
-    if wnum(v) > 0:
+    if wnum(v - lo) > 0:
         return v, u
     if a * c != 0:
-        xv = -b / a  # vertex of the quadratic numerator
-        if u < xv < v and wnum(xv) > 0:
+        xv = lo - b / a  # vertex of the quadratic numerator
+        if u < xv < v and wnum(xv - lo) > 0:
             return xv, v
     return None
 
@@ -496,13 +496,12 @@ def _frame_report(
             witness(T, f, lo, x),
             detail=f"{name} drops below the frame floor {fmt_rat(lo)}",
         )
-    pair = basic(sigma_hat(T, f, s), s.kind)
+    pair = basic(restricted_cap(window, s), s.kind)
     if pair is None:
         return None
-    x, y = frame_point(s, pair[0]), frame_point(s, pair[1])
     return violated(
         rule,
-        witness(T, f, x, y),
+        witness(T, f, *pair),
         detail=f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}",
     )
 

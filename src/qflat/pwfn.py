@@ -80,19 +80,6 @@ class LinFrac:
         det = self.a * self.d - self.b * self.c
         return (det > 0) - (det < 0)
 
-    def compose_affine(self, m: Rat, k: Rat) -> "LinFrac":
-        """The piece x -> self(m*x + k)."""
-        return linfrac(self.a * m, self.a * k + self.b, self.c * m, self.c * k + self.d)
-
-    def map_values(self, alpha: Rat, beta: Rat) -> "LinFrac":
-        """The piece alpha*self + beta."""
-        return linfrac(
-            alpha * self.a + beta * self.c,
-            alpha * self.b + beta * self.d,
-            self.c,
-            self.d,
-        )
-
 
 def linfrac(a: Rat, b: Rat, c: Rat, d: Rat) -> LinFrac:
     if c == 0:
@@ -310,10 +297,6 @@ class PwFn:
         assert best is not None
         return SupResult(best, attained)
 
-    def value_bounds(self) -> tuple[Rat, Rat]:
-        """(inf, sup) of the function, attained or not."""
-        return (self.global_inf().value, self.global_sup().value)
-
     # -- monotonicity ---------------------------------------------------------
 
     def is_monotone(self, direction: str) -> CheckReport:
@@ -381,8 +364,11 @@ class PwFn:
         return PwFn(tuple(bps), tuple(pcs))
 
     def restrict(self, lo: Rat, hi: Rat) -> "PwFn":
-        """The restriction to [lo, hi] as a PwFn on that domain."""
+        """The restriction to [lo, hi] as a PwFn on that domain (self when
+        that is already its domain)."""
         lo, hi = Rat(lo), Rat(hi)
+        if (lo, hi) == (self.lo, self.hi):
+            return self
         if not (self.lo <= lo < hi <= self.hi):
             raise DomainError("restriction window not inside the domain")
         f = self.refine([lo, hi])
@@ -392,30 +378,6 @@ class PwFn:
         first, last = bps[0], bps[-1]
         bps[0] = Breakpoint(first.x, first.at, first.at, first.right)
         bps[-1] = Breakpoint(last.x, last.left, last.at, last.at)
-        return pwfn(bps, pcs)
-
-    def reparam_to(self, lo: Rat, hi: Rat) -> "PwFn":
-        """Affinely rescale the domain onto [lo, hi] (values unchanged)."""
-        lo, hi = Rat(lo), Rat(hi)
-        if lo >= hi:
-            raise DomainError("degenerate target interval")
-        m = (self.hi - self.lo) / (hi - lo)
-        k = self.lo - lo * m
-        fwd = lambda x: (x - self.lo) / m + lo  # noqa: E731
-        bps = [Breakpoint(fwd(bp.x), bp.left, bp.at, bp.right) for bp in self.breakpoints]
-        pcs = [p.compose_affine(m, k) for p in self.pieces]
-        return pwfn(bps, pcs)
-
-    def map_values(self, alpha: Rat, beta: Rat) -> "PwFn":
-        """The function alpha*f + beta (alpha > 0); result must stay in [0,1]."""
-        alpha, beta = Rat(alpha), Rat(beta)
-        if alpha <= 0:
-            raise DomainError("value map must be increasing")
-        m = lambda y: alpha * y + beta  # noqa: E731
-        bps = [
-            Breakpoint(bp.x, m(bp.left), m(bp.at), m(bp.right)) for bp in self.breakpoints
-        ]
-        pcs = [p.map_values(alpha, beta) for p in self.pieces]
         return pwfn(bps, pcs)
 
 
@@ -523,39 +485,6 @@ def _pointwise(f: PwFn, g: PwFn, pick: Callable) -> PwFn:
                 break
         pcs.append(chosen)
     return pwfn(bps, pcs)
-
-
-# ---------------------------------------------------------------------------
-# interval transports
-
-
-def affine_transport(f: PwFn, source: tuple[Rat, Rat], target: tuple[Rat, Rat]) -> PwFn:
-    """Push the values of f through the increasing affine bijection source -> target.
-
-    The values of f must lie inside the source interval.  Round-trips with
-    the swapped intervals restore f exactly.
-    """
-    (s0, s1), (t0, t1) = _interval(source), _interval(target)
-    lo, hi = f.value_bounds()
-    if lo < s0 or hi > s1:
-        raise DomainError("function values leave the source interval")
-    alpha = (t1 - t0) / (s1 - s0)
-    return f.map_values(alpha, t0 - s0 * alpha)
-
-
-def transport_domain(f: PwFn, source: tuple[Rat, Rat], target: tuple[Rat, Rat]) -> PwFn:
-    """View f through the window ``source``, rescaled onto the domain ``target``."""
-    (s0, s1), (t0, t1) = _interval(source), _interval(target)
-    return f.restrict(s0, s1).reparam_to(t0, t1)
-
-
-def _interval(iv: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
-    a, b = Rat(iv[0]), Rat(iv[1])
-    if a >= b:
-        raise DomainError("degenerate interval")
-    ensure_unit(a, "interval endpoint")
-    ensure_unit(b, "interval endpoint")
-    return a, b
 
 
 # ---------------------------------------------------------------------------

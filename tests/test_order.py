@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,11 +17,16 @@ from qflat.oracle import (
 )
 from qflat.order import (
     _conj_gap_sup,
+    _frame_report,
+    _lukasiewicz_scan,
+    _pair_near,
     _solve_eq,
     check_lower_set,
     check_upper_set,
     d_L,
     d_R,
+    def_lower_witness,
+    def_upper_witness,
     principal_lower,
     principal_upper,
     tensor,
@@ -30,12 +36,16 @@ from qflat.pwfn import (
     LinFrac,
     SupResult,
     affine_piece,
+    chord,
     const_piece,
+    halve_toward,
+    linfrac,
     pointwise_max,
     pointwise_min,
 )
-from qflat.rat import ExactnessError
-from qflat.report import PairWitness, PointWitness
+from qflat.rat import ExactnessError, fmt_rat
+from qflat.report import PairWitness, PointWitness, violated
+from qflat.tnorms import SummandKind
 
 from conftest import grid, grid_tensor, tnorm_over_997
 
@@ -485,3 +495,203 @@ class TestSoundnessCompleteness:
                 if not rep.holds:
                     assert revalidate_witness(T, f, rep, lower=False)
             assert hits  # random candidates do exercise the violation paths
+
+
+class TestFrameBottomJumps:
+    """On t4 = (1/4,1/2,luk) + (1/2,1,product): a product frame allows a jump
+    at its bottom and at no other point."""
+
+    def test_lower_jump_at_frame_bottom_holds(self, t4):
+        phi = pwfn(
+            [
+                Breakpoint(F(0), F(1), F(1), F(1)),
+                Breakpoint(F(1, 2), F(1), F(1), F(3, 4)),
+                Breakpoint(F(1), F(3, 4), F(3, 4), F(3, 4)),
+            ]
+        )
+        assert check_lower_set(t4, phi).holds
+
+    def test_lower_jump_inside_product_frame_fails_l3(self, t4):
+        phi = pwfn(
+            [
+                Breakpoint(F(0), F(1), F(1), F(1)),
+                Breakpoint(F(3, 4), F(1), F(1), F(7, 8)),
+                Breakpoint(F(1), F(7, 8), F(7, 8), F(7, 8)),
+            ]
+        )
+        rep = check_lower_set(t4, phi)
+        assert not rep.holds and rep.rule == "L3"
+        w = rep.witness
+        assert t4.conj(phi.eval(w.a), t4.residuum(w.b, w.a)) > phi.eval(w.b)
+
+    def test_upper_jump_at_frame_bottom_holds(self, t4):
+        psi = pwfn(
+            [
+                Breakpoint(F(0), F(0), F(0), F(0)),
+                Breakpoint(F(1, 2), F(1, 2), F(1, 2), F(3, 4)),
+                Breakpoint(F(1), F(3, 4), F(3, 4), F(3, 4)),
+            ]
+        )
+        assert check_upper_set(t4, psi).holds
+
+    def test_upper_jump_inside_product_frame_fails_u3(self, t4):
+        psi = pwfn(
+            [
+                Breakpoint(F(0), F(0), F(0), F(0)),
+                Breakpoint(F(1, 2), F(1, 2), F(1, 2), F(1, 2)),
+                Breakpoint(F(3, 4), F(5, 8), F(5, 8), F(7, 8)),
+                Breakpoint(F(1), F(7, 8), F(7, 8), F(7, 8)),
+            ]
+        )
+        rep = check_upper_set(t4, psi)
+        assert not rep.holds and rep.rule == "U3"
+        w = rep.witness
+        assert t4.conj(t4.residuum(w.a, w.b), psi.eval(w.a)) > psi.eval(w.b)
+
+
+# -- the [0,1]-transport route to the frame condition, as a reference --------
+
+
+def transported(sig, lo, hi):
+    """sig on [lo, hi] carried onto [0,1] by x -> (x - lo)/(hi - lo) in both
+    arguments and values."""
+    h = hi - lo
+    to = lambda v: (v - lo) / h  # noqa: E731
+    bps = [Breakpoint(to(bp.x), to(bp.left), to(bp.at), to(bp.right)) for bp in sig.breakpoints]
+    pcs = []
+    for p in sig.pieces:
+        d = p.c * lo + p.d
+        pcs.append(linfrac(h * (p.a - lo * p.c), p.a * lo + p.b - lo * d, p.c * h * h, h * d))
+    return pwfn(bps, pcs)
+
+
+def reference_jump_scan(f, bad, at_zero):
+    bps = f.breakpoints
+    for i, bp in enumerate(bps):
+        x0 = bp.x
+        if x0 == 0 and not at_zero:
+            continue
+        if i > 0 and bp.left != bp.at:
+            return halve_toward(x0, bps[i - 1].x, lambda t: bad(t, x0)), x0
+        if i < len(bps) - 1 and bp.at != bp.right:
+            return x0, halve_toward(x0, bps[i + 1].x, lambda t: bad(x0, t))
+    return None
+
+
+def reference_lower_scan(g, kind):
+    """The basic lower law on [0,1]: x*g(x) non-decreasing for product."""
+    if kind is SummandKind.LUKASIEWICZ:
+        return _lukasiewicz_scan(g, -1)
+    drop = lambda a, b: a * g.eval(a) > b * g.eval(b)  # noqa: E731
+    for i, p in enumerate(g.pieces):
+        u, v = g.breakpoints[i].x, g.breakpoints[i + 1].x
+        for anchor, other in ((u, v), (v, u)):
+            den = p.c * anchor + p.d
+            if ((p.a * p.c * anchor + 2 * p.a * p.d) * anchor + p.b * p.d) / (den * den) < 0:
+                return _pair_near(anchor, other, drop)
+    return reference_jump_scan(g, drop, False)
+
+
+def reference_ratio_rise(p, u, v):
+    def wnum(x):
+        return -(p.a * p.c) * x * x - 2 * p.b * p.c * x - p.b * p.d
+
+    if u > 0 and wnum(u) > 0:
+        return u, v
+    if wnum(v) > 0:
+        return v, u
+    if p.a * p.c != 0 and u < -p.b / p.a < v and wnum(-p.b / p.a) > 0:
+        return -p.b / p.a, v
+    return None
+
+
+def reference_upper_scan(g, kind):
+    """The basic upper law on [0,1]: g(x)/x non-increasing for product."""
+    grow = lambda a, b: a * g.eval(b) > b * g.eval(a)  # noqa: E731
+    if kind is SummandKind.LUKASIEWICZ:
+        pair = _lukasiewicz_scan(g, 1)
+    else:
+        xs = g.positions()
+        rises = (reference_ratio_rise(p, u, v) for p, u, v in zip(g.pieces, xs, xs[1:]))
+        rise = next((r for r in rises if r is not None), None)
+        pair = _pair_near(*rise, grow) if rise else reference_jump_scan(g, grow, False)
+    return None if pair is None else pair[::-1]
+
+
+def reference_frame_report(T, f, s, lower):
+    """L3/U3 with the basic scans run on [0,1] and the pair mapped back."""
+    lo, hi = s.lo, s.hi
+    if f.eval(lo) < lo or f.restrict(lo, hi).global_inf().value < lo:
+        return _frame_report(T, f, s, lower)  # not a basic-case verdict
+    cap = pointwise_min(f.restrict(lo, hi), PwFn.constant(hi, lo, hi))
+    scan = reference_lower_scan if lower else reference_upper_scan
+    pair = scan(transported(cap, lo, hi), s.kind)
+    if pair is None:
+        return None
+    x, y = (lo + t * (hi - lo) for t in pair)
+    witness = def_lower_witness(T, f, x, y) if lower else def_upper_witness(T, f, x, y)
+    detail = f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}"
+    return violated("L3" if lower else "U3", witness, detail=detail)
+
+
+def hyperbola(u, yu, v, yv, pole):
+    """The piece A + K/(x + D) through (u, yu) and (v, yv) with pole -D."""
+    D = -pole
+    K = (yu - yv) / (1 / (u + D) - 1 / (v + D))
+    A = yu - K / (u + D)
+    return linfrac(A, A * D + K, F(1), D)
+
+
+def frame_inputs(T, s, rng, lower):
+    """Monotone meshes on [0,1] whose values on the frame of s stay in
+    [s.lo, 1], chords or hyperbolas between breakpoints, some of them min
+    or max with a principal set."""
+    lo, hi = s.lo, s.hi
+    inner = {lo + (hi - lo) * F(rng.randint(1, 7), 8) for _ in range(rng.randint(1, 3))}
+    xs = sorted({F(0), lo, hi, F(1)} | inner)
+    top = F(1) if rng.random() < 0.3 else hi
+    vals = [lo + (top - lo) * F(rng.randint(0, 12), 12) for _ in range(3 * len(xs))]
+    vals.sort(reverse=lower)
+    bps = []
+    for i, x in enumerate(xs):
+        left, at, right = vals[3 * i : 3 * i + 3] if rng.random() < 0.5 else [vals[3 * i + 1]] * 3
+        bps.append(Breakpoint(x, left, at, right))
+    pcs = []
+    for a, b in zip(bps, bps[1:]):
+        if a.right != b.left and rng.random() < 0.5:
+            w = (b.x - a.x) * rng.choice((F(1, 2), F(1), F(3)))
+            pcs.append(hyperbola(a.x, a.right, b.x, b.left, rng.choice((a.x - w, b.x + w))))
+        else:
+            pcs.append(chord(a.x, a.right, b.x, b.left))
+    f = pwfn(bps, pcs)
+    yield f
+    principal_set = principal_lower if lower else principal_upper
+    principal = principal_set(T, lo + (hi - lo) * F(rng.randint(1, 8), 8))
+    for op in (pointwise_min, pointwise_max):
+        try:
+            yield op(f, principal)
+        except ExactnessError:  # an irrational crossing: no such function
+            pass
+
+
+def test_frame_scans_match_the_transport_route():
+    """L3/U3 read the basic laws on the frame itself; carrying the capped
+    window onto [0,1] first gives the same rule, detail and witness, and the
+    population reaches a basic-case violation for every kind and direction."""
+    rng = random.Random(31)
+    basic = Counter()
+    for fam in range(16):
+        T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
+        for s in T.summands:
+            for lower in (True, False):
+                for _ in range(3):
+                    for f in frame_inputs(T, s, rng, lower):
+                        got = _frame_report(T, f, s, lower)
+                        want = reference_frame_report(T, f, s, lower)
+                        assert (got is None) == (want is None), (T.describe(), f)
+                        if got is not None:
+                            assert got.rule == want.rule and got.detail == want.detail
+                            assert got.witness == want.witness
+                            if got.detail.startswith("frame ("):
+                                basic[s.kind, lower] += 1
+    assert set(basic) == {(k, d) for k in SummandKind for d in (True, False)}, basic

@@ -10,7 +10,6 @@ from qflat._sup import sup_ratfunc
 from qflat.pwfn import (
     LinFrac,
     affine_piece,
-    affine_transport,
     const_piece,
     crossings,
     equal_points,
@@ -19,7 +18,6 @@ from qflat.pwfn import (
     pointwise_max,
     pointwise_min,
     print_pwfn,
-    transport_domain,
 )
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -171,34 +169,6 @@ class TestMonotone:
         assert not rep.holds
         w = rep.witness
         assert f.eval(w.a) < f.eval(w.b) and w.a < w.b
-
-
-class TestTransport:
-    def test_identity_to_subinterval(self):
-        g = affine_transport(PwFn.identity(), (F(0), F(1)), (F(1, 4), F(1, 2)))
-        assert g.eval(F(0)) == F(1, 4)
-        assert g.eval(F(1)) == F(1, 2)
-        assert g.eval(F(1, 2)) == F(3, 8)
-
-    def test_round_trip(self):
-        f = jump_fn()
-        g = affine_transport(f, (F(0), F(1)), (F(1, 8), F(7, 8)))
-        back = affine_transport(g, (F(1, 8), F(7, 8)), (F(0), F(1)))
-        assert back == f
-
-    def test_constant_maps_to_affine_image(self):
-        g = affine_transport(PwFn.constant(F(1, 2)), (F(0), F(1)), (F(1, 3), F(2, 3)))
-        assert g == PwFn.constant(F(1, 2))
-
-    def test_domain_transport_window(self):
-        f = pointwise_max(PwFn.identity(), PwFn.constant(F(1, 2)))
-        w = transport_domain(f, (F(1, 2), F(1)), (F(0), F(1)))
-        assert w.lo == 0 and w.hi == 1
-        assert w.eval(F(0)) == F(1, 2) and w.eval(F(1)) == F(1)
-
-    def test_degenerate_interval_rejected(self):
-        with pytest.raises(DomainError):
-            affine_transport(PwFn.identity(), (F(1, 2), F(1, 2)), (F(0), F(1)))
 
 
 class TestPieces:
