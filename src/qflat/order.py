@@ -398,7 +398,7 @@ def basic_upper_violation(
 ) -> Optional[tuple[Rat, Rat]]:
     """A pair (x, y) violating the basic-case upper-set law on the frame
     [lo, hi] = [sig.lo, sig.hi], oriented so that conj(d_L(x, y), f(x)) > f(y);
-    increasingness is assumed already checked globally.
+    increasingness and sig >= lo are assumed already checked.
 
     For the product quantale the law is: (f(x) - lo)/(x - lo) non-increasing
     on (lo, hi], with jumps allowed at lo only.
@@ -428,7 +428,13 @@ def _mobius_deriv(piece: LinFrac, x: Rat) -> Rat:
 
 def _ratio_rise(piece: LinFrac, lo: Rat, u: Rat, v: Rat) -> Optional[tuple[Rat, Rat]]:
     """An anchor/other pair where ((piece(x) - lo)/(x - lo))' > 0 holds at
-    the anchor, if any."""
+    the anchor, if any.  The piece must not go below lo on [u, v].
+
+    The numerator of that derivative is a quadratic in t = x - lo.  Its
+    vertex t = -b/a is the root of the shifted piece below, which is not
+    constant then and changes sign there, so a vertex strictly inside the
+    gap would put the piece below lo.  The quadratic is therefore monotone
+    on the gap, and its two ends decide."""
     # the shifted piece t -> piece(t + lo) - lo = (a*t + b)/(c*t + d)
     c, d = piece.c, piece.c * lo + piece.d
     a, b = piece.a - lo * c, piece.a * lo + piece.b - lo * d
@@ -441,10 +447,6 @@ def _ratio_rise(piece: LinFrac, lo: Rat, u: Rat, v: Rat) -> Optional[tuple[Rat, 
         return u, v
     if wnum(v - lo) > 0:
         return v, u
-    if a * c != 0:
-        xv = lo - b / a  # vertex of the quadratic numerator
-        if u < xv < v and wnum(xv - lo) > 0:
-            return xv, v
     return None
 
 

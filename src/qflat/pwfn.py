@@ -447,16 +447,46 @@ def pwfn(
 
 
 def pointwise_min(f: PwFn, g: PwFn) -> PwFn:
+    """min(f, g) on their common domain.  Raises :class:`ExactnessError` only
+    when two non-constant operands cross at an irrational point."""
     return _pointwise(f, g, min)
 
 
 def pointwise_max(f: PwFn, g: PwFn) -> PwFn:
+    """max(f, g); refuses exactly as :func:`pointwise_min` does."""
     return _pointwise(f, g, max)
+
+
+def _with_level(f: PwFn, k: Rat, pick: Callable) -> PwFn:
+    """pick(f, k) in one pass.  A piece is monotone on its gap, so it meets k
+    at most once, at the rational root of a*x + b = k*(c*x + d)."""
+    flat = const_piece(k)
+    bps = [
+        Breakpoint(bp.x, pick(bp.left, k), pick(bp.at, k), pick(bp.right, k))
+        for bp in f.breakpoints
+    ]
+    out, pcs = [bps[0]], []
+    for piece, u, v, pu, pv in zip(f.pieces, f.breakpoints, f.breakpoints[1:], bps, bps[1:]):
+        keep_l, keep_r = pu.right == u.right, pv.left == v.left
+        if keep_l and keep_r:
+            pcs.append(piece)
+        elif keep_l == keep_r or k in (u.right, v.left):
+            pcs.append(flat)
+        else:  # the limits lie strictly on opposite sides of k
+            x = (k * piece.d - piece.b) / (piece.a - k * piece.c)
+            out.append(Breakpoint(x, k, k, k))
+            pcs += [piece, flat] if keep_l else [flat, piece]
+        out.append(pv)
+    return pwfn(out, pcs)
 
 
 def _pointwise(f: PwFn, g: PwFn, pick: Callable) -> PwFn:
     if (f.lo, f.hi) != (g.lo, g.hi):
         raise DomainError("pointwise operations need matching domains")
+    for h, other in ((g, f), (f, g)):
+        k = h.breakpoints[0].at  # h is constant: one piece k, no jump at an end
+        if h.pieces == (const_piece(k),) and h.breakpoints[-1].at == k:
+            return _with_level(other, k, pick)
     common = sorted({bp.x for bp in f.breakpoints} | {bp.x for bp in g.breakpoints})
     f1, g1 = f.refine(common), g.refine(common)
     cross: set[Rat] = set()

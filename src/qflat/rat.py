@@ -30,9 +30,11 @@ class ExactnessError(ArithmeticError):
     """An exact rational answer does not exist (irrational critical point).
 
     Raised instead of ever returning an approximation.  The checkers and
-    ``tensor`` have not been seen to raise it, but ``pointwise_min`` and
-    ``pointwise_max`` of a lower set with an upper set do: 19-72 of 800
-    random pairs per kind pair.  Such a combination is a documented refusal.
+    ``tensor`` have not been seen to raise it.  ``pointwise_min`` and
+    ``pointwise_max`` raise it only for two non-constant operands, such as a
+    lower set with an upper set (19-72 of 800 random pairs per kind pair):
+    a piece meets a constant only at rational points.  Such a combination
+    is a documented refusal.
     """
 
 

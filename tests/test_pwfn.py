@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -5,20 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflat import Breakpoint, DomainError, ExactnessError, PwFn, SupResult, pwfn
+from qflat import Breakpoint, DomainError, ExactnessError, PwFn, SupResult, make_tnorm, pwfn
 from qflat._sup import sup_ratfunc
+from qflat.ideal import _separating_pair, witness_upper_pair
+from qflat.oracle import (
+    flat_candidates,
+    mutated_flat,
+    random_lower,
+    random_pwfn,
+    random_rat,
+    random_tnorm,
+    random_upper,
+)
+from qflat.order import principal_lower, principal_upper, restricted_cap
 from qflat.pwfn import (
     LinFrac,
     affine_piece,
     const_piece,
     crossings,
     equal_points,
+    gap_probes,
     linfrac,
     parse_pwfn_body,
     pointwise_max,
     pointwise_min,
     print_pwfn,
 )
+from qflat.tnorms import SummandKind
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
@@ -95,6 +109,111 @@ class TestPointwise:
         g = pointwise_max(PwFn.identity(), PwFn.constant(b))
         h = pointwise_max(f, g)
         assert h.eval(x) == max(a, x, b)
+
+    def test_crossing_non_constant_operands(self):
+        # two non-constant operands take the general route and cross inside a gap
+        down = PwFn.from_points([(F(0), F(1)), (F(1), F(0))])
+        tent = PwFn.from_points([(F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(0))])
+        assert pointwise_min(PwFn.identity(), down) == tent
+        assert pointwise_max(down, PwFn.identity()) == PwFn.from_points(
+            [(F(0), F(1)), (F(1, 2), F(1, 2)), (F(1), F(1))]
+        )
+        T = make_tnorm([(F(0), F(1), SummandKind.PRODUCT)])
+        m = pointwise_min(principal_lower(T, F(1, 4)), PwFn.identity())
+        assert F(1, 2) in m.positions() and m.eval(F(1, 2)) == F(1, 2)
+
+
+def general_pointwise(f, g, pick):
+    """Pointwise min/max by the general route: refine both operands at every
+    breakpoint and crossing, then probe each gap for the piece to keep."""
+    common = set(f.positions()) | set(g.positions())
+    f1, g1 = f.refine(common), g.refine(common)
+    xs = f1.positions()
+    cross = set()
+    for p, q, u, v in zip(f1.pieces, g1.pieces, xs, xs[1:]):
+        cross.update(crossings(p, q, u, v))
+    f1, g1 = f1.refine(cross), g1.refine(cross)
+    xs = f1.positions()
+    bps = [
+        Breakpoint(a.x, pick(a.left, b.left), pick(a.at, b.at), pick(a.right, b.right))
+        for a, b in zip(f1.breakpoints, g1.breakpoints)
+    ]
+    pcs = []
+    for p, q, u, v in zip(f1.pieces, g1.pieces, xs, xs[1:]):
+        t = next((t for t in gap_probes(u, v) if p(t) != q(t)), None)
+        pcs.append(p if t is None or pick(p(t), q(t)) == p(t) else q)
+    return pwfn(bps, pcs)
+
+
+def constant_operand_cases(seeds):
+    """(f, k) pairs over seeded populations and their frame windows, k drawn
+    at random and from the breakpoint values of f."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        T = random_tnorm(rng)
+        fs = [random_lower(T, rng), random_upper(T, rng), random_pwfn(rng)]
+        fs += flat_candidates(T, rng, 2)
+        fs += [g for g in (mutated_flat(T, rng, "F3"),) if g is not None]
+        fs += [f.restrict(s.lo, s.hi) for s in T.summands for f in fs[:2]]
+        for f in fs:
+            values = {v for bp in f.breakpoints for v in (bp.left, bp.at, bp.right)}
+            ks = {random_rat(rng), f.hi} | set(rng.sample(sorted(values), min(3, len(values))))
+            for k in sorted(ks):
+                yield f, k
+
+
+class TestConstantOperand:
+    def test_matches_the_general_route(self):
+        seen = {"crossing": 0, "jump at k": 0, "piece ends at k": 0}
+        for f, k in constant_operand_cases(range(40)):
+            const = PwFn.constant(k, f.lo, f.hi)
+            for pick, op in ((min, pointwise_min), (max, pointwise_max)):
+                assert op(f, const) == general_pointwise(f, const, pick)
+                assert op(const, f) == general_pointwise(const, f, pick)
+            for p, u, v in zip(f.pieces, f.breakpoints, f.breakpoints[1:]):
+                if (u.right - k) * (v.left - k) < 0:
+                    seen["crossing"] += 1
+                elif not p.is_const and k in (u.right, v.left):
+                    seen["piece ends at k"] += 1
+            seen["jump at k"] += sum(
+                k in (bp.left, bp.at, bp.right) and len({bp.left, bp.at, bp.right}) > 1
+                for bp in f.breakpoints
+            )
+        assert min(seen.values()) > 0, seen
+
+    def test_never_refuses(self):
+        # an F3 mutant meets a product-frame principal at an irrational point
+        T = make_tnorm([(F(0), F(5, 6), SummandKind.PRODUCT)])
+        mutant = mutated_flat(T, random.Random(0), "F3")
+        with pytest.raises(ExactnessError):
+            pointwise_min(principal_lower(T, F(1, 24)), mutant)
+        rng = random.Random(7)
+        fs = [mutant] + [random_pwfn(rng) for _ in range(30)]
+        for seed in range(30):
+            T = random_tnorm(random.Random(seed))
+            fs += [g for g in (mutated_flat(T, rng, "F3"),) if g is not None]
+        for f in fs:
+            for k in {random_rat(rng)} | {bp.at for bp in f.breakpoints}:
+                for op in (pointwise_min, pointwise_max):
+                    op(f, PwFn.constant(k))
+                    op(PwFn.constant(k), f)
+
+    def test_callers_skip_the_general_route(self, monkeypatch):
+        rng = random.Random(13)
+        families = []
+        for _ in range(12):
+            T = random_tnorm(rng)
+            families.append((T, random_lower(T, rng), random_rat(rng)))
+
+        def general_route(*args):
+            raise AssertionError("constant operand sent through the general route")
+
+        monkeypatch.setattr(importlib.import_module("qflat.pwfn"), "crossings", general_route)
+        for T, phi, c in families:
+            for s in T.summands:
+                restricted_cap(phi, s)
+            _separating_pair(T, phi, c, *witness_upper_pair(T, phi, c))
+            pointwise_min(PwFn.constant(phi.eval(c)), principal_upper(T, c))
 
 
 class TestGlobalSup:
