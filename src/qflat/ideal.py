@@ -21,24 +21,16 @@ from .order import (
     _cplus,
     _min_gap_sup,
     _piece_over,
-    _solve_eq,
     check_lower_set,
     hull_positions,
-    lower_piece,
+    lower_profile,
     principal_lower,
     principal_upper,
     restricted_cap,
     tensor,
     tensor_reaches,
 )
-from .pwfn import (
-    Breakpoint,
-    LinFrac,
-    PwFn,
-    const_piece,
-    pointwise_min,
-    pwfn,
-)
+from .pwfn import PwFn, _solve_eq, pointwise_min, pwfn
 from .rat import ONE, ZERO, DomainError, Rat, ensure_unit, fmt_rat
 from .report import HOLDS, CheckReport, PointWitness, TensorWitness, violated
 from .tnorms import OrdinalSumTNorm, Summand
@@ -131,22 +123,10 @@ def _sup_position(phi: PwFn) -> Rat:
 
 
 def frame_principal_lower(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
-    """The frame-principal ideal d_L^c(-, b) on [s.lo, s.hi]."""
-    lo, hi = s.lo, s.hi
-    if not lo <= b <= hi:
-        raise DomainError("principal point outside the frame")
-    if b == hi:
-        return PwFn.constant(hi, lo, hi)
-    piece = lower_piece(s, b)
-    pts: list[Breakpoint] = []
-    pcs: list[LinFrac] = []
-    if b > lo:
-        pts.append(Breakpoint(lo, hi, hi, hi))
-        pcs.append(const_piece(hi))
-    pts.append(Breakpoint(b, hi, hi, piece(b)))
-    pcs.append(piece)
-    pts.append(Breakpoint(hi, b, b, b))
-    return pwfn(pts, pcs)
+    """The frame-principal ideal d_L^c(-, b): the profile on [s.lo, s.hi], s.hi at s.lo."""
+    pts, pcs = lower_profile(s, b, s.lo, s.hi)
+    i, j = int(s.lo > 0), len(pts) - int(s.hi < ONE)
+    return pwfn(pts[i:j], pcs[i : j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +250,7 @@ def pasted_flat(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
     """A flat ideal pasted from a frame principal: full membership up to
     the frame, the frame-principal profile d_L^c(-, b) inside it, and the
     constant tail b beyond."""
-    lo, hi = s.lo, s.hi
-    fp = frame_principal_lower(T, s, b)
-    pts: list[Breakpoint] = []
-    pcs: list[LinFrac] = []
-    if lo > 0:
-        pts.append(Breakpoint(ZERO, ONE, ONE, ONE))
-        pcs.append(const_piece(ONE))
-    first = fp.breakpoints[0]
-    pts.append(Breakpoint(lo, ONE, ONE, first.right))
-    pts.extend(fp.breakpoints[1:])
-    pcs.extend(fp.pieces)
-    if hi < ONE:
-        last = pts.pop()
-        pts.append(Breakpoint(hi, last.left, last.at, last.at))
-        pcs.append(const_piece(b))
-        pts.append(Breakpoint(ONE, b, b, b))
-    return pwfn(pts, pcs)
+    return pwfn(*lower_profile(s, b, s.lo, ONE))
 
 
 def witness_upper_pair(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> tuple[PwFn, PwFn]:
@@ -413,25 +377,7 @@ def net_ideal(T: OrdinalSumTNorm, net: NetSpec) -> PwFn:
         return principal_lower(T, net.limit)
     x = net.limit
     s = next((s for s in T.summands if s.lo < x <= s.hi), None)
-    pts: list[Breakpoint] = [Breakpoint(ZERO, ONE, ONE, ONE)]
-    pcs: list[LinFrac] = [const_piece(ONE)]
-    if s is None:
-        # the limit is approached through the min region: constant tail
-        pts.append(Breakpoint(x, ONE, x, x))
-        if x < ONE:
-            pcs.append(const_piece(x))
-            pts.append(Breakpoint(ONE, x, x, x))
-        return pwfn(pts, pcs)
-    hi = s.hi
-    piece = lower_piece(s, x)
-    pts.append(Breakpoint(x, ONE, hi, piece(x)))
-    if x < hi:
-        pcs.append(piece)
-        pts.append(Breakpoint(hi, x, x, x))
-    if hi < ONE:
-        pcs.append(const_piece(x))
-        pts.append(Breakpoint(ONE, x, x, x))
-    return pwfn(pts, pcs)
+    return pwfn(*lower_profile(s, x, x, _cplus(T, x)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .pwfn import (
     Breakpoint,
     LinFrac,
     PwFn,
+    _solve_eq,
     affine_piece,
     const_piece,
     crossings,
@@ -70,34 +71,46 @@ def upper_piece(s: Summand, c: Rat) -> LinFrac:
     return affine_piece(slope, lo - slope * lo)
 
 
+def lower_profile(
+    s: Optional[Summand], b: Rat, head: Rat, at: Rat
+) -> tuple[list[Breakpoint], list[LinFrac]]:
+    """Breakpoints and pieces of the lower set on [0,1] that is 1 on
+    [0, head), ``at`` at head, min(s.hi, d_L(-, b)) on (head, s.hi] and b
+    from s.hi on; with s None, head = b and b follows right after it.
+
+    The principals, the open-net ideals, the frame principals and the
+    pasted flats all have this shape.
+    """
+    pts = [Breakpoint(ZERO, ONE, ONE, ONE)] if head > 0 else []
+    pcs = [const_piece(ONE)] if head > 0 else []
+    if s is None:
+        pts.append(Breakpoint(head, ONE, at, b))
+    else:
+        hi = s.hi
+        if not s.lo <= b <= hi:
+            raise DomainError("principal point outside the frame")
+        piece = lower_piece(s, b)
+        # min(hi, d_L(-, b)) is the plateau hi on (head, b], then the piece
+        pts.append(Breakpoint(head, ONE, at, hi if head < b else piece(b)))
+        if head < b:
+            pcs.append(const_piece(hi))
+        if head < b < hi:
+            pts.append(Breakpoint(b, hi, hi, hi))
+        if b < hi:
+            pcs.append(piece)
+        if head < hi:
+            pts.append(Breakpoint(hi, b, b, b))
+    if pts[-1].x < ONE:
+        pcs.append(const_piece(b))
+        pts.append(Breakpoint(ONE, b, b, b))
+    return pts, pcs
+
+
 def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
     """The principal lower set y -> d_L(y, x0), built exactly."""
     x0 = Rat(ensure_unit(x0, "principal point"))
-    if x0 == ONE:
-        return PwFn.constant(ONE)
     s = next((s for s in T.summands if s.lo <= x0 < s.hi), None)
-    pts: list[Breakpoint] = []
-    pcs: list[LinFrac] = []
-    if s is None:
-        if x0 > 0:
-            pts.append(Breakpoint(ZERO, ONE, ONE, ONE))
-            pcs.append(const_piece(ONE))
-        pts.append(Breakpoint(x0, ONE, ONE, x0))
-        pcs.append(const_piece(x0))
-        pts.append(Breakpoint(ONE, x0, x0, x0))
-    else:
-        hi = s.hi
-        piece = lower_piece(s, x0)
-        if x0 > 0:
-            pts.append(Breakpoint(ZERO, ONE, ONE, ONE))
-            pcs.append(const_piece(ONE))
-        pts.append(Breakpoint(x0, ONE, ONE, piece(x0)))
-        pcs.append(piece)
-        if hi < ONE:
-            pts.append(Breakpoint(hi, x0, x0, x0))
-            pcs.append(const_piece(x0))
-        pts.append(Breakpoint(ONE, x0, x0, x0))
-    return pwfn(pts, pcs)
+    return pwfn(*lower_profile(s, x0, x0, ONE))
 
 
 def principal_upper(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
@@ -143,13 +156,6 @@ def _piece_over(f: PwFn, p: Rat) -> LinFrac:
     """The piece covering an open gap starting at p (p inside one f-gap)."""
     i = bisect.bisect_right(f._xs, p) - 1
     return f.pieces[min(i, len(f.pieces) - 1)]
-
-
-def _solve_eq(piece: LinFrac, k: Rat) -> Optional[Rat]:
-    den = piece.a - k * piece.c
-    if den == 0:
-        return None
-    return (k * piece.d - piece.b) / den
 
 
 def _min_gap_sup(fp: LinFrac, gp: LinFrac, u: Rat, v: Rat) -> SupResult:

@@ -81,6 +81,14 @@ class LinFrac:
         return (det > 0) - (det < 0)
 
 
+def _solve_eq(piece: LinFrac, k: Rat) -> Optional[Rat]:
+    """The root of a*x + b = k*(c*x + d), None unless there is exactly one."""
+    den = piece.a - k * piece.c
+    if den == 0:
+        return None
+    return (k * piece.d - piece.b) / den
+
+
 def linfrac(a: Rat, b: Rat, c: Rat, d: Rat) -> LinFrac:
     if c == 0:
         if d == 0:
@@ -459,7 +467,7 @@ def pointwise_max(f: PwFn, g: PwFn) -> PwFn:
 
 def _with_level(f: PwFn, k: Rat, pick: Callable) -> PwFn:
     """pick(f, k) in one pass.  A piece is monotone on its gap, so it meets k
-    at most once, at the rational root of a*x + b = k*(c*x + d)."""
+    at most once, at the rational root :func:`_solve_eq`."""
     flat = const_piece(k)
     bps = [
         Breakpoint(bp.x, pick(bp.left, k), pick(bp.at, k), pick(bp.right, k))
@@ -473,8 +481,7 @@ def _with_level(f: PwFn, k: Rat, pick: Callable) -> PwFn:
         elif keep_l == keep_r or k in (u.right, v.left):
             pcs.append(flat)
         else:  # the limits lie strictly on opposite sides of k
-            x = (k * piece.d - piece.b) / (piece.a - k * piece.c)
-            out.append(Breakpoint(x, k, k, k))
+            out.append(Breakpoint(_solve_eq(piece, k), k, k, k))
             pcs += [piece, flat] if keep_l else [flat, piece]
         out.append(pv)
     return pwfn(out, pcs)

@@ -319,3 +319,27 @@ class TestSpecFile:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             assert proc.returncode == 0, (cmd, proc.stderr)
             assert proc.stdout.split()[0] == "1/2", (cmd, proc.stdout)
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module of the package imports is used there or listed in
+    its ``__all__``; the repository runs no linter, so this stands in."""
+    import ast
+
+    stale = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qflat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, exported = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Assign) and "__all__" in {
+                getattr(t, "id", None) for t in node.targets
+            }:
+                exported = set(ast.literal_eval(node.value))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
+        stale += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not stale, stale

@@ -16,6 +16,7 @@ change an outcome, and every F2 or F3 violation with phi(0) = 1 must
 carry a tensor witness.
 """
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -179,6 +180,26 @@ def population(seed, families=8):
         phis.append(pointwise_min(random_lower(T, rng), cap))
         for phi in phis:
             yield T, phi, rng.randrange(1 << 30)
+
+
+def test_flat_identity_hash():
+    """Every flatness outcome on the population of seeds 0-5 (353 lower
+    sets): falsify_flat with 8 and 16 trials, check_flat and the per-rule
+    flat_conditions, serialized by repr and hashed.  A change that keeps
+    every verdict, rule, detail and exact witness keeps this digest."""
+    rows = []
+    for seed in range(6):
+        for T, phi, ts in population(seed):
+            conds = {k: outcome(v) for k, v in flat_conditions(T, phi).items()}
+            rows.append((
+                outcome(falsify_flat(T, phi, TrialConfig(8, ts))),
+                outcome(falsify_flat(T, phi, TrialConfig(16, ts))),
+                outcome(check_flat(T, phi)),
+                conds,
+            ))
+    assert len(rows) == 353
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "0d10d933a136784748ddd2ae310376964fc24cdb1f38f92735a75968d10d9ee3"
 
 
 def trial_kind(trial):

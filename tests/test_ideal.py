@@ -19,8 +19,10 @@ from qflat.ideal import (
     tensor_via_k,
     witness_upper_pair,
 )
-from qflat.order import check_lower_set, principal_lower, principal_upper, tensor
-from qflat.pwfn import pointwise_max, pointwise_min
+from qflat.oracle import random_rat, random_tnorm
+from qflat.order import check_lower_set, lower_piece, principal_lower, principal_upper, tensor
+from qflat.pwfn import const_piece, pointwise_max, pointwise_min
+from qflat.rat import ONE, ZERO
 from qflat.report import TensorWitness
 
 from conftest import grid_tensor, tnorm_over_997
@@ -251,6 +253,135 @@ class TestPastedFlat:
         assert check_flat(t4, phi).holds
         assert phi != principal_lower(t4, F(3, 8))
         assert phi.eval(F(5, 16)) == F(1, 2)  # frame top between lo and b
+
+
+# The four constructors as they were written before they shared
+# order.lower_profile, kept as references for it.
+
+
+def ref_principal_lower(T, x0):
+    if x0 == ONE:
+        return PwFn.constant(ONE)
+    s = next((s for s in T.summands if s.lo <= x0 < s.hi), None)
+    pts, pcs = [], []
+    if s is None:
+        if x0 > 0:
+            pts.append(Breakpoint(ZERO, ONE, ONE, ONE))
+            pcs.append(const_piece(ONE))
+        pts.append(Breakpoint(x0, ONE, ONE, x0))
+        pcs.append(const_piece(x0))
+        pts.append(Breakpoint(ONE, x0, x0, x0))
+    else:
+        hi = s.hi
+        piece = lower_piece(s, x0)
+        if x0 > 0:
+            pts.append(Breakpoint(ZERO, ONE, ONE, ONE))
+            pcs.append(const_piece(ONE))
+        pts.append(Breakpoint(x0, ONE, ONE, piece(x0)))
+        pcs.append(piece)
+        if hi < ONE:
+            pts.append(Breakpoint(hi, x0, x0, x0))
+            pcs.append(const_piece(x0))
+        pts.append(Breakpoint(ONE, x0, x0, x0))
+    return pwfn(pts, pcs)
+
+
+def ref_net_ideal(T, net):
+    if net.attained:
+        return ref_principal_lower(T, net.limit)
+    x = net.limit
+    s = next((s for s in T.summands if s.lo < x <= s.hi), None)
+    pts = [Breakpoint(ZERO, ONE, ONE, ONE)]
+    pcs = [const_piece(ONE)]
+    if s is None:
+        pts.append(Breakpoint(x, ONE, x, x))
+        if x < ONE:
+            pcs.append(const_piece(x))
+            pts.append(Breakpoint(ONE, x, x, x))
+        return pwfn(pts, pcs)
+    hi = s.hi
+    piece = lower_piece(s, x)
+    pts.append(Breakpoint(x, ONE, hi, piece(x)))
+    if x < hi:
+        pcs.append(piece)
+        pts.append(Breakpoint(hi, x, x, x))
+    if hi < ONE:
+        pcs.append(const_piece(x))
+        pts.append(Breakpoint(ONE, x, x, x))
+    return pwfn(pts, pcs)
+
+
+def ref_frame_principal_lower(T, s, b):
+    lo, hi = s.lo, s.hi
+    if not lo <= b <= hi:
+        raise DomainError("principal point outside the frame")
+    if b == hi:
+        return PwFn.constant(hi, lo, hi)
+    piece = lower_piece(s, b)
+    pts, pcs = [], []
+    if b > lo:
+        pts.append(Breakpoint(lo, hi, hi, hi))
+        pcs.append(const_piece(hi))
+    pts.append(Breakpoint(b, hi, hi, piece(b)))
+    pcs.append(piece)
+    pts.append(Breakpoint(hi, b, b, b))
+    return pwfn(pts, pcs)
+
+
+def ref_pasted_flat(T, s, b):
+    lo, hi = s.lo, s.hi
+    fp = ref_frame_principal_lower(T, s, b)
+    pts, pcs = [], []
+    if lo > 0:
+        pts.append(Breakpoint(ZERO, ONE, ONE, ONE))
+        pcs.append(const_piece(ONE))
+    pts.append(Breakpoint(lo, ONE, ONE, fp.breakpoints[0].right))
+    pts.extend(fp.breakpoints[1:])
+    pcs.extend(fp.pieces)
+    if hi < ONE:
+        last = pts.pop()
+        pts.append(Breakpoint(hi, last.left, last.at, last.at))
+        pcs.append(const_piece(b))
+        pts.append(Breakpoint(ONE, b, b, b))
+    return pwfn(pts, pcs)
+
+
+@pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
+def test_profile_constructors_match_the_references(draw):
+    """principal_lower, net_ideal, frame_principal_lower and pasted_flat all
+    paste through order.lower_profile; each returns exactly the PwFn its
+    reference builds, at 0, 1, every summand endpoint (glued ones included),
+    frame ends and interior points, and random rationals."""
+    rng = random.Random(14)
+    seen = {"glued": 0, "idempotent limit": 0, "limit at lo": 0, "limit at hi": 0}
+    for _ in range(40):
+        T = random_tnorm(rng) if draw == "random_tnorm" else tnorm_over_997(rng)
+        ends = {e for s in T.summands for e in (s.lo, s.hi)}
+        seen["glued"] += len(ends) < 2 * len(T.summands)
+        points = sorted(ends | {ZERO, ONE} | {random_rat(rng) for _ in range(4)})
+        for x in points:
+            assert principal_lower(T, x) == ref_principal_lower(T, x), (T.describe(), x)
+            if x == 0:
+                continue
+            for attained in (True, False):
+                net = NetSpec((x / 2,), x, attained)
+                assert net_ideal(T, net) == ref_net_ideal(T, net), (T.describe(), x)
+            seen["idempotent limit"] += T.is_idempotent(x) and x not in ends
+            seen["limit at lo"] += any(x == s.lo for s in T.summands)
+            seen["limit at hi"] += any(x == s.hi for s in T.summands)
+        for s in T.summands:
+            inner = {s.lo + (s.hi - s.lo) * F(k, 7) for k in (1, 3, 6)}
+            for b in sorted({s.lo, s.hi} | inner):
+                got = frame_principal_lower(T, s, b)
+                assert got == ref_frame_principal_lower(T, s, b), (T.describe(), b)
+                assert pasted_flat(T, s, b) == ref_pasted_flat(T, s, b), (T.describe(), b)
+            for b in (s.lo / 2, (s.hi + 1) / 2):
+                if not s.lo <= b <= s.hi:
+                    with pytest.raises(DomainError):
+                        frame_principal_lower(T, s, b)
+                    with pytest.raises(DomainError):
+                        pasted_flat(T, s, b)
+    assert all(seen.values()), seen
 
 
 class TestKSet:
