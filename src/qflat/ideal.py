@@ -20,9 +20,8 @@ from typing import Iterator, Optional
 from .order import (
     _cplus,
     _min_gap_sup,
-    _piece_over,
     check_lower_set,
-    hull_positions,
+    hull_walk,
     lower_profile,
     principal_lower,
     principal_upper,
@@ -171,23 +170,22 @@ def _check_f1(phi: PwFn) -> CheckReport:
 
 
 def _check_f2(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
-    P = hull_positions(T, phi, "hi")
-    for c in P:
-        fc = phi.eval(c)
-        if fc >= _cplus(T, c) and not T.is_idempotent(fc):
+    points, gaps = hull_walk(T, phi, "hi")
+    for c, fc, _, cplus in points:
+        if fc >= cplus and not T.is_idempotent(fc):
             return _f2_violation(T, phi, c)
-    for p, q in zip(P, P[1:]):
+    for p, q, piece, s in gaps:
         m = (p + q) / 2
-        if phi.eval(m) < _cplus(T, m):
+        fm = piece(m)
+        if fm < (s.hi if s else m):
             continue
-        piece = _piece_over(phi, p)
         if piece.is_const:
-            if not T.is_idempotent(piece(m)):
+            if not T.is_idempotent(fm):
                 return _f2_violation(T, phi, m)
             continue
         va, vb = sorted((piece(p), piece(q)))
-        for s in T.summands:
-            w_lo, w_hi = max(va, s.lo), min(vb, s.hi)
+        for summand in T.summands:
+            w_lo, w_hi = max(va, summand.lo), min(vb, summand.hi)
             if w_lo < w_hi:
                 target = (w_lo + w_hi) / 2
                 c = _solve_eq(piece, target)
@@ -386,16 +384,16 @@ def net_ideal(T: OrdinalSumTNorm, net: NetSpec) -> PwFn:
 
 def k_set(T: OrdinalSumTNorm, phi: PwFn) -> KSet:
     """The exact set {x : phi(x) >= x+} as finitely many intervals."""
-    P = hull_positions(T, phi, "hi")
+    points, gaps = hull_walk(T, phi, "hi")
     atoms: list[tuple[Rat, bool, Rat, bool]] = []
-    for i, c in enumerate(P):
-        if phi.eval(c) >= _cplus(T, c):
+    for i, (c, fc, _, cplus) in enumerate(points):
+        if fc >= cplus:
             atoms.append((c, True, c, True))
-        if i + 1 < len(P):
-            q = P[i + 1]
-            m = (c + q) / 2
-            if phi.eval(m) >= _cplus(T, m):
-                atoms.append((c, False, q, False))
+        if i < len(gaps):
+            p, q, piece, s = gaps[i]
+            m = (p + q) / 2
+            if piece(m) >= (s.hi if s else m):
+                atoms.append((p, False, q, False))
     merged: list[list] = []
     for lo, lc, hi, hc in atoms:
         if merged and merged[-1][2] == lo and (merged[-1][3] or lc):

@@ -152,12 +152,6 @@ def _require_unit_domain(f: PwFn, what: str) -> None:
         raise DomainError(f"{what} must live on the full interval [0,1]")
 
 
-def _piece_over(f: PwFn, p: Rat) -> LinFrac:
-    """The piece covering an open gap starting at p (p inside one f-gap)."""
-    i = bisect.bisect_right(f._xs, p) - 1
-    return f.pieces[min(i, len(f.pieces) - 1)]
-
-
 def _min_gap_sup(fp: LinFrac, gp: LinFrac, u: Rat, v: Rat) -> SupResult:
     """Sup of min(f, g) over the open gap (u, v), interior attainment flagged.
 
@@ -269,33 +263,43 @@ def _cplus(T: OrdinalSumTNorm, c: Rat) -> Rat:
     return T.idem_hull(c).hi
 
 
-def _gap_summand(T: OrdinalSumTNorm, p: Rat, q: Rat) -> Optional[Summand]:
-    for s in T.summands:
-        if s.lo <= p and q <= s.hi:
-            return s
-    return None
-
-
-def hull_positions(T: OrdinalSumTNorm, f: PwFn, bound: str) -> list[Rat]:
-    """Positions where predicates against c-minus/c-plus can change truth.
-
-    Breakpoints of f, summand endpoints, and the exact points where f meets
-    the comparator (the identity on idempotent gaps, the relevant summand
-    endpoint inside a summand).
+def hull_walk(T: OrdinalSumTNorm, f: PwFn, bound: str) -> tuple[list[tuple], list[tuple]]:
+    """One pass over f's pieces and T's summands, cut at every position where
+    f against the idempotent hull can change: breakpoints, summand endpoints,
+    and where f meets the identity on an idempotent gap or the constant
+    s.lo or s.hi (``bound``) inside a summand s.  Returns one (c, f(c), c-, c+)
+    per position and one (p, q, piece, summand or None) per gap between them.
     """
-    base = sorted(
-        {ZERO, ONE}
-        | {bp.x for bp in f.breakpoints}
-        | set(T.idempotent_levels())
-    )
-    pos = set(base)
+    _require_unit_domain(f, "function")
+    bps, sums, levels = f.breakpoints, T.summands, T.idempotent_levels()
     ident = affine_piece(ONE, ZERO)
-    for p, q in zip(base, base[1:]):
-        s = _gap_summand(T, p, q)
-        comp = const_piece(getattr(s, bound)) if s is not None else ident
-        piece = _piece_over(f, p)
-        pos.update(x for x in equal_points(piece, comp, p, q))
-    return sorted(pos)
+    points: list[tuple] = []
+    gaps: list[tuple] = []
+    li = j = 0
+    for piece, u, v in zip(f.pieces, bps, bps[1:]):
+        p, fp = u.x, u.at
+        while p < v.x:
+            while li < len(levels) and levels[li] <= p:
+                li += 1
+            while j < len(sums) and sums[j].hi <= p:
+                j += 1
+            q = min(levels[li], v.x) if li < len(levels) else v.x
+            s = sums[j] if j < len(sums) and sums[j].lo <= p else None
+            points.append((p, fp, s.lo, s.hi) if s and s.lo < p else (p, fp, p, p))
+            if s is None:
+                roots = [(x, x, x, x) for x in equal_points(piece, ident, p, q)]
+            else:
+                k = getattr(s, bound)
+                x = _solve_eq(piece, k)
+                roots = [(x, k, s.lo, s.hi)] if x is not None and p < x < q else []
+            for root in roots:
+                gaps.append((p, root[0], piece, s))
+                points.append(root)
+                p = root[0]
+            gaps.append((p, q, piece, s))
+            p, fp = q, piece(q)
+    points.append((ONE, bps[-1].at, ONE, ONE))
+    return points, gaps
 
 
 def def_lower_witness(T: OrdinalSumTNorm, phi: PwFn, x: Rat, y: Rat) -> PairWitness:
@@ -461,27 +465,26 @@ def _ratio_rise(piece: LinFrac, lo: Rat, u: Rat, v: Rat) -> Optional[tuple[Rat, 
 
 
 def _floor_report(
-    T: OrdinalSumTNorm, f: PwFn, P: list[Rat], lower: bool
+    T: OrdinalSumTNorm, f: PwFn, points: list, gaps: list, lower: bool
 ) -> Optional[CheckReport]:
     """L2 for a lower set: f(c) <= c- forces f(c) = f(1).  U2 for an upper
-    set, where only f(c) < c- (strict) forces it."""
+    set, where only f(c) < c- (strict) forces it.  The points and gaps are
+    those of hull_walk(T, f, "lo")."""
     rule, name, below = ("L2", "phi", operator.le) if lower else ("U2", "psi", operator.lt)
-    f1 = f.eval(ONE)
+    f1 = points[-1][1]
 
     def report(c: Rat) -> CheckReport:
         values = ((f"{name}(c)", f.eval(c)), ("c_minus", _cminus(T, c)), (f"{name}(1)", f1))
         return violated(rule, PointWitness(c, values))
 
-    for c in P:
-        fc = f.eval(c)
-        if below(fc, _cminus(T, c)) and fc != f1:
+    for c, fc, cminus, _ in points:
+        if below(fc, cminus) and fc != f1:
             return report(c)
-    for p, q in zip(P, P[1:]):
+    for p, q, piece, s in gaps:
         m = (p + q) / 2
-        if below(f.eval(m), _cminus(T, m)):
-            piece = _piece_over(f, p)
-            if not (piece.is_const and piece(m) == f1):
-                return report(next(t for t in gap_probes(p, q) if f.eval(t) != f1))
+        fm = piece(m)
+        if below(fm, s.lo if s else m) and not (piece.is_const and fm == f1):
+            return report(next(t for t in gap_probes(p, q) if f.eval(t) != f1))
     return None
 
 
@@ -536,22 +539,20 @@ def check_lower_set(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
         assert isinstance(w, PairWitness)
         return violated("L1", def_lower_witness(T, phi, w.b, w.a), detail="not decreasing")
 
-    phi1 = phi.eval(ONE)
-    P = hull_positions(T, phi, "lo")
-    rep = _floor_report(T, phi, P, lower=True)
+    points, gaps = hull_walk(T, phi, "lo")
+    phi1 = points[-1][1]
+    rep = _floor_report(T, phi, points, gaps, lower=True)
     if rep is not None:
         return rep
 
     # L4: idempotent c with phi(c) >= c forces phi(1) >= c
-    for c in P:
-        if T.is_idempotent(c) and phi.eval(c) >= c and phi1 < c:
-            return violated(
-                "L4", PointWitness(c, (("phi(c)", phi.eval(c)), ("phi(1)", phi1)))
-            )
-    for p, q in zip(P, P[1:]):
-        if _gap_summand(T, p, q) is None:
+    for c, fc, cminus, cplus in points:
+        if cminus == cplus and fc >= c and phi1 < c:
+            return violated("L4", PointWitness(c, (("phi(c)", fc), ("phi(1)", phi1))))
+    for p, q, piece, s in gaps:
+        if s is None:
             m = (p + q) / 2
-            if phi.eval(m) >= m and phi1 < q:
+            if piece(m) >= m and phi1 < q:
                 c = (max(p, phi1) + q) / 2
                 return violated(
                     "L4", PointWitness(c, (("phi(c)", phi.eval(c)), ("phi(1)", phi1)))
@@ -574,7 +575,7 @@ def check_upper_set(T: OrdinalSumTNorm, psi: PwFn) -> CheckReport:
         assert isinstance(w, PairWitness)
         return violated("U1", def_upper_witness(T, psi, w.a, w.b), detail="not increasing")
 
-    rep = _floor_report(T, psi, hull_positions(T, psi, "lo"), lower=False)
+    rep = _floor_report(T, psi, *hull_walk(T, psi, "lo"), lower=False)
     if rep is not None:
         return rep
     # U3: per-summand frame condition

@@ -343,3 +343,28 @@ def test_package_has_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
         stale += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not stale, stale
+
+
+def test_package_has_no_unreferenced_private_definitions():
+    """Every module-level private function or class of the package is named
+    by some module of it outside its own definition; like the unused-import
+    check, this stands in for a linter."""
+    import ast
+
+    defined, used = {}, set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qflat").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                if not stmt.name.startswith("__"):
+                    defined[stmt.name] = f"{path.name}:{stmt.lineno}"
+                    names.discard(stmt.name)
+            used |= names
+    assert not {n: at for n, at in defined.items() if n not in used}

@@ -406,6 +406,13 @@ class TestKSet:
                     psi = random_upper(T, rng)
                     assert tensor_via_k(T, phi, psi) == tensor(T, phi, psi).value
 
+    def test_off_the_unit_interval_is_a_domain_error(self, t4):
+        phi = PwFn.constant(F(3, 4), F(1, 4), F(1, 2))
+        with pytest.raises(DomainError):
+            k_set(t4, phi)
+        with pytest.raises(DomainError):
+            tensor_via_k(t4, phi, PwFn.constant(F(1)))
+
     def test_examples_cross_checked_by_grid(self, t4):
         phi = principal_lower(GODEL, F(1, 2))
         assert tensor_via_k(GODEL, phi, PwFn.identity()) == F(1, 2)

@@ -1,3 +1,4 @@
+import bisect
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -7,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, pwfn
+from qflat.ideal import check_flat, k_set
 from qflat.oracle import (
     flat_candidates,
+    mutated_flat,
     random_lower,
     random_pwfn,
     random_rat,
@@ -27,6 +30,7 @@ from qflat.order import (
     d_R,
     def_lower_witness,
     def_upper_witness,
+    hull_walk,
     principal_lower,
     principal_upper,
     tensor,
@@ -38,6 +42,7 @@ from qflat.pwfn import (
     affine_piece,
     chord,
     const_piece,
+    equal_points,
     halve_toward,
     linfrac,
     pointwise_max,
@@ -45,7 +50,7 @@ from qflat.pwfn import (
 )
 from qflat.rat import ExactnessError, fmt_rat
 from qflat.report import PairWitness, PointWitness, violated
-from qflat.tnorms import SummandKind
+from qflat.tnorms import OrdinalSumTNorm, SummandKind
 
 from conftest import grid, grid_tensor, tnorm_over_997
 
@@ -695,3 +700,99 @@ def test_frame_scans_match_the_transport_route():
                             if got.detail.startswith("frame ("):
                                 basic[s.kind, lower] += 1
     assert set(basic) == {(k, d) for k in SummandKind for d in (True, False)}, basic
+
+
+# -- the hull walk against positions first, then per-gap lookups --------------
+
+
+def reference_gap_summand(T, p, q):
+    for s in T.summands:
+        if s.lo <= p and q <= s.hi:
+            return s
+    return None
+
+
+def reference_piece_over(f, p):
+    i = bisect.bisect_right(f.positions(), p) - 1
+    return f.pieces[min(i, len(f.pieces) - 1)]
+
+
+def reference_hull_positions(T, f, bound):
+    """The sorted breakpoints, summand endpoints and comparator meetings."""
+    base = sorted({F(0), F(1)} | set(f.positions()) | set(T.idempotent_levels()))
+    pos = set(base)
+    for p, q in zip(base, base[1:]):
+        s = reference_gap_summand(T, p, q)
+        comp = const_piece(getattr(s, bound)) if s is not None else affine_piece(1, 0)
+        pos.update(equal_points(reference_piece_over(f, p), comp, p, q))
+    return sorted(pos)
+
+
+# 1/(x + 1) meets the identity at the irrational (sqrt(5) - 1)/2
+GOLDEN = pwfn(
+    [Breakpoint(F(0), F(1), F(1), F(1)), Breakpoint(F(1), F(1, 2), F(1, 2), F(1, 2))],
+    [linfrac(F(0), F(1), F(1), F(1))],
+)
+
+
+def hull_walk_inputs(T, rng):
+    fs = [random_pwfn(rng) for _ in range(3)] + [GOLDEN]
+    fs += [random_lower(T, rng), random_upper(T, rng)] + flat_candidates(T, rng, 2)
+    mutants = (mutated_flat(T, rng, rule) for rule in ("F1", "F2", "F3"))
+    return fs + [m for m in mutants if m is not None]
+
+
+@pytest.mark.parametrize("draw", [random_tnorm, tnorm_over_997], ids=lambda d: d.__name__)
+def test_hull_walk_matches_the_reference(draw):
+    """One pass gives the positions, values, hulls, gap pieces and gap
+    summands that sorting the positions and looking each up again gives,
+    and refuses an irrational meeting exactly when that route does."""
+    seen = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        T = draw(rng)
+        ends = set(T.idempotent_levels())
+        seen["glued summands"] += any(a.hi == b.lo for a, b in zip(T.summands, T.summands[1:]))
+        for f in hull_walk_inputs(T, rng):
+            xs = f.positions()
+            seen["breakpoint on a summand endpoint"] += bool(ends & set(xs[1:-1]))
+            for bound in ("lo", "hi"):
+                try:
+                    ref = reference_hull_positions(T, f, bound)
+                except ExactnessError:
+                    with pytest.raises(ExactnessError):
+                        hull_walk(T, f, bound)
+                    seen["refusal"] += 1
+                    continue
+                points, gaps = hull_walk(T, f, bound)
+                assert [c for c, *_ in points] == ref
+                for c, fc, lo, hi in points:
+                    hull = T.idem_hull(c)
+                    assert (fc, lo, hi) == (f.eval(c), hull.lo, hull.hi)
+                    if c not in ends and c not in xs:
+                        seen["root inside a summand" if lo < hi else "root on an idempotent gap"] += 1
+                assert [(p, q) for p, q, _, _ in gaps] == list(zip(ref, ref[1:]))
+                for p, q, piece, s in gaps:
+                    assert piece == reference_piece_over(f, p)
+                    assert s == reference_gap_summand(T, p, q)
+    assert len(seen) == 5 and min(seen.values()) > 0, seen
+
+
+def test_holding_inputs_need_no_hull_lookup(monkeypatch):
+    """The checkers and k_set read every hull from the walk; only a
+    violation report looks a point's hull up."""
+    rng = random.Random(17)
+    cases = []
+    for fam in range(16):
+        T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
+        cases.append((T, random_lower(T, rng), random_upper(T, rng), flat_candidates(T, rng, 2)))
+
+    def lookup(self, c):
+        raise AssertionError("per-point hull lookup")
+
+    monkeypatch.setattr(OrdinalSumTNorm, "idem_hull", lookup)
+    for T, phi, psi, flats in cases:
+        assert check_lower_set(T, phi).holds and check_upper_set(T, psi).holds
+        for f in flats:
+            assert check_flat(T, f).holds
+            assert k_set(T, f).intervals
