@@ -19,8 +19,8 @@ from typing import Iterator, Optional
 
 from .order import (
     _cplus,
+    _lower_set,
     _min_gap_sup,
-    check_lower_set,
     hull_walk,
     lower_profile,
     principal_lower,
@@ -132,19 +132,26 @@ def frame_principal_lower(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
 # flat-ideal conditions
 
 
-def _flat_reports(T: OrdinalSumTNorm, phi: PwFn) -> Iterator[tuple[str, CheckReport]]:
-    """F1, F2 and F3 in order, each evaluated only when it is asked for."""
+def _flat_reports(
+    T: OrdinalSumTNorm, phi: PwFn, walk: tuple, caps: dict[Summand, PwFn]
+) -> Iterator[tuple[str, CheckReport]]:
+    """F1, F2 and F3 in order, each evaluated only when it is asked for.
+    F2 reads the hull walk and F3 the frame caps that the lower-set check
+    of phi built, so phi is walked once and each frame capped once."""
     yield "F1", _check_f1(phi)
-    yield "F2", _check_f2(T, phi)
-    yield "F3", _check_f3(T, phi)
+    yield "F2", _check_f2(T, phi, walk)
+    yield "F3", _check_f3(T, phi, caps)
 
 
 def flat_conditions(T: OrdinalSumTNorm, phi: PwFn) -> dict[str, CheckReport]:
     """Per-rule verdicts for F1, F2 and F3, evaluated independently.
 
-    Assumes phi already passed :func:`qflat.order.check_lower_set`.
+    A phi that is not a fuzzy lower set raises a DomainError naming its L rule.
     """
-    return dict(_flat_reports(T, phi))
+    pre, walk, caps = _lower_set(T, phi)
+    if not pre:
+        raise DomainError(f"not a fuzzy lower set: {pre.rule} fails")
+    return dict(_flat_reports(T, phi, walk, caps))
 
 
 def check_flat(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
@@ -153,13 +160,13 @@ def check_flat(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
     A candidate failing the lower-set precondition is reported with the
     lower-set rule label (L1-L4); genuine flatness failures carry F1-F3.
     """
-    pre = check_lower_set(T, phi)
+    pre, walk, caps = _lower_set(T, phi)
     if not pre:
         detail = "not a fuzzy lower set"
         if pre.detail:
             detail += "; " + pre.detail
         return CheckReport(False, rule=pre.rule, witness=pre.witness, detail=detail)
-    return next((rep for _, rep in _flat_reports(T, phi) if not rep), HOLDS)
+    return next((rep for _, rep in _flat_reports(T, phi, walk, caps) if not rep), HOLDS)
 
 
 def _check_f1(phi: PwFn) -> CheckReport:
@@ -169,11 +176,11 @@ def _check_f1(phi: PwFn) -> CheckReport:
     return violated("F1", PointWitness(ZERO, (("phi(0)", v0),)))
 
 
-def _check_f2(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
-    points, gaps = hull_walk(T, phi, "hi")
+def _check_f2(T: OrdinalSumTNorm, phi: PwFn, walk: tuple) -> CheckReport:
+    points, gaps = walk
     for c, fc, _, cplus in points:
         if fc >= cplus and not T.is_idempotent(fc):
-            return _f2_violation(T, phi, c)
+            return _f2_violation(T, phi, c, cplus)
     for p, q, piece, s in gaps:
         m = (p + q) / 2
         fm = piece(m)
@@ -181,7 +188,7 @@ def _check_f2(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
             continue
         if piece.is_const:
             if not T.is_idempotent(fm):
-                return _f2_violation(T, phi, m)
+                return _f2_violation(T, phi, m, s.hi if s else m)
             continue
         va, vb = sorted((piece(p), piece(q)))
         for summand in T.summands:
@@ -190,12 +197,12 @@ def _check_f2(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
                 target = (w_lo + w_hi) / 2
                 c = _solve_eq(piece, target)
                 assert c is not None and p < c < q
-                return _f2_violation(T, phi, c)
+                return _f2_violation(T, phi, c, s.hi if s else c)
     return HOLDS
 
 
-def _f2_violation(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> CheckReport:
-    fc, cplus = phi.eval(c), _cplus(T, c)
+def _f2_violation(T: OrdinalSumTNorm, phi: PwFn, c: Rat, cplus: Rat) -> CheckReport:
+    fc = phi.eval(c)
     detail = f"phi(c)={fmt_rat(fc)} >= c_plus={fmt_rat(cplus)} but {fmt_rat(fc)}"
     detail += " is not idempotent"
     return _flat_violation("F2", T, phi, [c], (("phi(c)", fc), ("c_plus", cplus)), detail)
@@ -209,11 +216,11 @@ def _flat_violation(
     return violated(rule, wit or PointWitness(candidates[0], values), detail=detail)
 
 
-def _check_f3(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
+def _check_f3(T: OrdinalSumTNorm, phi: PwFn, caps: dict[Summand, PwFn]) -> CheckReport:
     for s in T.summands:
         if phi.eval(s.lo) <= s.lo:
             continue
-        sigma = restricted_cap(phi, s)
+        sigma = caps[s]
         b = min(s.hi, phi.eval(s.hi))
         target = frame_principal_lower(T, s, b)
         if sigma == target:
@@ -384,7 +391,7 @@ def net_ideal(T: OrdinalSumTNorm, net: NetSpec) -> PwFn:
 
 def k_set(T: OrdinalSumTNorm, phi: PwFn) -> KSet:
     """The exact set {x : phi(x) >= x+} as finitely many intervals."""
-    points, gaps = hull_walk(T, phi, "hi")
+    points, gaps = hull_walk(T, phi)
     atoms: list[tuple[Rat, bool, Rat, bool]] = []
     for i, (c, fc, _, cplus) in enumerate(points):
         if fc >= cplus:

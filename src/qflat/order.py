@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import operator
+from itertools import chain
 from typing import Callable, Optional
 
 from ._sup import SupResult, linfrac_ratfunc, p_add, p_mul, p_scale, p_sub, sup_ratfunc
@@ -255,20 +256,22 @@ def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -
 # characterization checkers: shared machinery
 
 
-def _cminus(T: OrdinalSumTNorm, c: Rat) -> Rat:
-    return T.idem_hull(c).lo
-
-
 def _cplus(T: OrdinalSumTNorm, c: Rat) -> Rat:
     return T.idem_hull(c).hi
 
 
-def hull_walk(T: OrdinalSumTNorm, f: PwFn, bound: str) -> tuple[list[tuple], list[tuple]]:
+def hull_walk(T: OrdinalSumTNorm, f: PwFn) -> tuple[list[tuple], list[tuple]]:
     """One pass over f's pieces and T's summands, cut at every position where
     f against the idempotent hull can change: breakpoints, summand endpoints,
-    and where f meets the identity on an idempotent gap or the constant
-    s.lo or s.hi (``bound``) inside a summand s.  Returns one (c, f(c), c-, c+)
-    per position and one (p, q, piece, summand or None) per gap between them.
+    and where f meets the identity on an idempotent gap or the constants
+    s.lo and s.hi inside a summand s.  Returns one (c, f(c), c-, c+) per
+    position and one (p, q, piece, summand or None) per gap between them.
+
+    L2/U2 and L4 compare f with s.lo, F2 and k_set with s.hi, each reading
+    points first, then gaps.  An s.hi cut splits only a gap where f >= s.lo,
+    which L2/U2 and L4 skip, and its point fires neither; an s.lo cut splits
+    only a gap where f <= s.hi, which F2 and k_set skip, and its point has
+    f = s.lo < c+.  Both cuts solve linear equations: they raise nothing.
     """
     _require_unit_domain(f, "function")
     bps, sums, levels = f.breakpoints, T.summands, T.idempotent_levels()
@@ -289,9 +292,8 @@ def hull_walk(T: OrdinalSumTNorm, f: PwFn, bound: str) -> tuple[list[tuple], lis
             if s is None:
                 roots = [(x, x, x, x) for x in equal_points(piece, ident, p, q)]
             else:
-                k = getattr(s, bound)
-                x = _solve_eq(piece, k)
-                roots = [(x, k, s.lo, s.hi)] if x is not None and p < x < q else []
+                meets = ((_solve_eq(piece, k), k) for k in (s.lo, s.hi))
+                roots = sorted((x, k, s.lo, s.hi) for x, k in meets if x is not None and p < x < q)
             for root in roots:
                 gaps.append((p, root[0], piece, s))
                 points.append(root)
@@ -464,34 +466,34 @@ def _ratio_rise(piece: LinFrac, lo: Rat, u: Rat, v: Rat) -> Optional[tuple[Rat, 
 # the decision procedures
 
 
-def _floor_report(
-    T: OrdinalSumTNorm, f: PwFn, points: list, gaps: list, lower: bool
-) -> Optional[CheckReport]:
+def _floor_report(points: list, gaps: list, lower: bool) -> Optional[CheckReport]:
     """L2 for a lower set: f(c) <= c- forces f(c) = f(1).  U2 for an upper
     set, where only f(c) < c- (strict) forces it.  The points and gaps are
-    those of hull_walk(T, f, "lo")."""
+    those of hull_walk(T, f); a report reads c- from its point, and from a
+    gap's probe t it reads s.lo inside a summand s and t itself otherwise."""
     rule, name, below = ("L2", "phi", operator.le) if lower else ("U2", "psi", operator.lt)
     f1 = points[-1][1]
 
-    def report(c: Rat) -> CheckReport:
-        values = ((f"{name}(c)", f.eval(c)), ("c_minus", _cminus(T, c)), (f"{name}(1)", f1))
+    def report(c: Rat, fc: Rat, cminus: Rat) -> CheckReport:
+        values = ((f"{name}(c)", fc), ("c_minus", cminus), (f"{name}(1)", f1))
         return violated(rule, PointWitness(c, values))
 
     for c, fc, cminus, _ in points:
         if below(fc, cminus) and fc != f1:
-            return report(c)
+            return report(c, fc, cminus)
     for p, q, piece, s in gaps:
         m = (p + q) / 2
         fm = piece(m)
         if below(fm, s.lo if s else m) and not (piece.is_const and fm == f1):
-            return report(next(t for t in gap_probes(p, q) if f.eval(t) != f1))
+            t = next(t for t in gap_probes(p, q) if piece(t) != f1)
+            return report(t, piece(t), s.lo if s else t)
     return None
 
 
 def _frame_report(
-    T: OrdinalSumTNorm, f: PwFn, s: Summand, lower: bool
+    T: OrdinalSumTNorm, f: PwFn, s: Summand, lower: bool, caps: dict[Summand, PwFn]
 ) -> Optional[CheckReport]:
-    """L3 (lower set) or U3 (upper set): the frame condition on summand s."""
+    """L3 (lower set) or U3 (upper set) on summand s; a cap built goes to caps[s]."""
     if lower:
         rule, name, witness, basic = "L3", "phi", def_lower_witness, basic_lower_violation
     else:
@@ -507,7 +509,8 @@ def _frame_report(
             witness(T, f, lo, x),
             detail=f"{name} drops below the frame floor {fmt_rat(lo)}",
         )
-    pair = basic(restricted_cap(window, s), s.kind)
+    caps[s] = restricted_cap(window, s)
+    pair = basic(caps[s], s.kind)
     if pair is None:
         return None
     return violated(
@@ -530,57 +533,53 @@ def _point_below(window: PwFn, level: Rat) -> Rat:
     raise AssertionError("no point below level found")  # pragma: no cover
 
 
+def _lower_set(T: OrdinalSumTNorm, phi: PwFn) -> tuple[CheckReport, Optional[tuple], dict]:
+    """The verdict of check_lower_set, phi's hull walk (None when L1 fails)
+    and the capped restriction of every summand whose frame L3 scanned, so
+    that the flatness conditions build neither again."""
+    _require_unit_domain(phi, "lower-set candidate")
+    caps: dict[Summand, PwFn] = {}
+    pair = phi.monotone_violation("decreasing")
+    if pair:
+        rep = violated("L1", def_lower_witness(T, phi, pair[1], pair[0]), detail="not decreasing")
+        return rep, None, caps
+
+    walk = points, gaps = hull_walk(T, phi)
+    phi1 = points[-1][1]
+    rep = _floor_report(points, gaps, lower=True)
+    if rep is None:
+        # L4: idempotent c with phi(c) >= c forces phi(1) >= c
+        at = (c for c, fc, cminus, cplus in points if cminus == cplus and fc >= c > phi1)
+        inside = (
+            (max(p, phi1) + q) / 2
+            for p, q, piece, s in gaps
+            if s is None and piece((p + q) / 2) >= (p + q) / 2 and phi1 < q
+        )
+        c = next(chain(at, inside), None)
+        if c is not None:
+            rep = violated("L4", PointWitness(c, (("phi(c)", phi.eval(c)), ("phi(1)", phi1))))
+    if rep is None:
+        # L3: per-summand frame condition
+        frames = (_frame_report(T, phi, s, True, caps) for s in T.summands)
+        rep = next((r for r in frames if r is not None), HOLDS)
+    return rep, walk, caps
+
+
 def check_lower_set(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
     """Decide whether phi is a fuzzy lower set of ([0,1], d_L), exactly."""
-    _require_unit_domain(phi, "lower-set candidate")
-    mono = phi.is_monotone("decreasing")
-    if not mono:
-        w = mono.witness
-        assert isinstance(w, PairWitness)
-        return violated("L1", def_lower_witness(T, phi, w.b, w.a), detail="not decreasing")
-
-    points, gaps = hull_walk(T, phi, "lo")
-    phi1 = points[-1][1]
-    rep = _floor_report(T, phi, points, gaps, lower=True)
-    if rep is not None:
-        return rep
-
-    # L4: idempotent c with phi(c) >= c forces phi(1) >= c
-    for c, fc, cminus, cplus in points:
-        if cminus == cplus and fc >= c and phi1 < c:
-            return violated("L4", PointWitness(c, (("phi(c)", fc), ("phi(1)", phi1))))
-    for p, q, piece, s in gaps:
-        if s is None:
-            m = (p + q) / 2
-            if piece(m) >= m and phi1 < q:
-                c = (max(p, phi1) + q) / 2
-                return violated(
-                    "L4", PointWitness(c, (("phi(c)", phi.eval(c)), ("phi(1)", phi1)))
-                )
-
-    # L3: per-summand frame condition
-    for s in T.summands:
-        rep = _frame_report(T, phi, s, lower=True)
-        if rep is not None:
-            return rep
-    return HOLDS
+    return _lower_set(T, phi)[0]
 
 
 def check_upper_set(T: OrdinalSumTNorm, psi: PwFn) -> CheckReport:
     """Decide whether psi is a fuzzy upper set of ([0,1], d_L), exactly."""
     _require_unit_domain(psi, "upper-set candidate")
-    mono = psi.is_monotone("increasing")
-    if not mono:
-        w = mono.witness
-        assert isinstance(w, PairWitness)
-        return violated("U1", def_upper_witness(T, psi, w.a, w.b), detail="not increasing")
+    pair = psi.monotone_violation("increasing")
+    if pair:
+        return violated("U1", def_upper_witness(T, psi, *pair), detail="not increasing")
 
-    rep = _floor_report(T, psi, *hull_walk(T, psi, "lo"), lower=False)
-    if rep is not None:
-        return rep
-    # U3: per-summand frame condition
-    for s in T.summands:
-        rep = _frame_report(T, psi, s, lower=False)
-        if rep is not None:
-            return rep
-    return HOLDS
+    rep = _floor_report(*hull_walk(T, psi), lower=False)
+    if rep is None:
+        # U3: per-summand frame condition
+        frames = (_frame_report(T, psi, s, False, {}) for s in T.summands)
+        rep = next((r for r in frames if r is not None), HOLDS)
+    return rep

@@ -33,7 +33,6 @@ from .rat import (
     fmt_rat,
     parse_rat,
 )
-from .report import HOLDS, CheckReport, PairWitness, violated
 
 Side = str  # "below" | "at" | "above"
 
@@ -307,30 +306,20 @@ class PwFn:
 
     # -- monotonicity ---------------------------------------------------------
 
-    def is_monotone(self, direction: str) -> CheckReport:
-        """Check global monotonicity; a violation comes with a real pair.
+    def monotone_violation(self, direction: str) -> Optional[tuple[Rat, Rat]]:
+        """A real pair a < b breaking global monotonicity, or None.
 
         ``direction`` is ``"decreasing"`` or ``"increasing"``.
         """
         if direction not in ("decreasing", "increasing"):
             raise DomainError(f"unknown direction {direction!r}")
         want = -1 if direction == "decreasing" else 1
-        rel = ">=" if direction == "decreasing" else "<="
-
-        def witness(a: Rat, b: Rat) -> CheckReport:
-            fa, fb = self.eval(a), self.eval(b)
-            return violated(
-                "L1" if direction == "decreasing" else "U1",
-                PairWitness(a, b, fa, fb, fa, fb, rel),
-                detail=f"not {direction}",
-            )
-
         for i, piece in enumerate(self.pieces):
             s = piece.deriv_sign()
             if s != 0 and s != want:
                 u, v = self.breakpoints[i].x, self.breakpoints[i + 1].x
                 step = (v - u) / 4
-                return witness(u + step, v - step)
+                return u + step, v - step
         for i, bp in enumerate(self.breakpoints):
             # a pair straddling the jump violates the direction when the
             # nearby value sits on the wrong side of the point value
@@ -339,14 +328,14 @@ class PwFn:
                 a = halve_toward(
                     bp.x, self.breakpoints[i - 1].x, lambda t: (piece(t) - bp.at) * want > 0
                 )
-                return witness(a, bp.x)
+                return a, bp.x
             if i < len(self.breakpoints) - 1 and (bp.right - bp.at) * want < 0:
                 piece = self.pieces[i]
                 b = halve_toward(
                     bp.x, self.breakpoints[i + 1].x, lambda t: (piece(t) - bp.at) * want < 0
                 )
-                return witness(bp.x, b)
-        return HOLDS
+                return bp.x, b
+        return None
 
     # -- structural surgery ---------------------------------------------------
 

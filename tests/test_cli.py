@@ -116,6 +116,13 @@ class TestCheck:
         assert (code, out) == (3, "")
         assert err == "domain error: irrational crossing of pieces inside (1/6, 3/8)\n"
 
+    @pytest.mark.parametrize("kind", ["lower", "flat"])
+    def test_irrational_hull_meeting_exit_3(self, capsys, kind):
+        # 1/(2x) meets the identity at 1/sqrt(2): the walk refuses it by name
+        code, out, err = run(capsys, "check", "godel", kind, "principal_lower(product, 1/2)")
+        assert (code, out) == (3, "")
+        assert err == "domain error: irrational piece equality inside (1/2, 1)\n"
+
     def test_flat_principal_holds(self, capsys, spec_path):
         code, out, _ = run(
             capsys, "--spec", spec_path, "check", "T4", "flat", "principal_lower(T4, 1/3)"

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, DomainError, PwFn, pwfn
+from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, DomainError, PwFn, ideal, pwfn
 from qflat.ideal import (
     NetSpec,
     check_flat,
@@ -113,6 +114,27 @@ class TestFlatConditions:
         assert reps["F1"].holds
         assert not reps["F2"].holds
         assert not reps["F3"].holds  # the same candidate also breaks F3
+
+    def test_non_lower_set_is_a_domain_error(self, t4):
+        def drop(at, tail):  # 1 on [0, at], then the constant tail
+            return pwfn(
+                [
+                    Breakpoint(F(0), ONE, ONE, ONE),
+                    Breakpoint(at, ONE, ONE, tail),
+                    Breakpoint(ONE, tail, tail, tail),
+                ]
+            )
+
+        cases = {
+            "L1": PwFn.identity(),
+            "L2": pwfn([Breakpoint(F(0), ONE, ONE, ONE), Breakpoint(ONE, ZERO, ZERO, ZERO)]),
+            "L3": drop(F(3, 4), F(11, 20)),
+            "L4": drop(F(3, 4), F(1, 10)),
+        }
+        for rule, phi in cases.items():
+            assert check_lower_set(t4, phi).rule == rule
+            with pytest.raises(DomainError, match=f"{rule} fails"):
+                flat_conditions(t4, phi)
 
 
 class TestWitnessPair:
@@ -442,3 +464,39 @@ def test_lattice_combinations_of_lower_sets_decide_exactly(draw):
                 tensor(T, h, random_upper(T, rng))
                 combos += 1
     assert combos == 30 * 12
+
+
+def test_check_flat_walks_once_and_caps_each_frame_once(monkeypatch):
+    """check_flat reads F2 from the lower-set check's hull walk and F3 from
+    its frame caps: one walk of phi, and at most one cap per summand."""
+    from qflat import order
+    from qflat.oracle import flat_candidates, mutated_flat
+
+    rng = random.Random(43)
+    cases = []
+    for fam in range(12):
+        T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
+        cases += [(T, phi) for phi in flat_candidates(T, rng, 2)]
+        mutants = (mutated_flat(T, rng, rule) for rule in ("F2", "F3"))
+        cases += [(T, phi) for phi in mutants if phi is not None]
+    calls = Counter()
+    walk, cap = order.hull_walk, order.restricted_cap
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    def counted_cap(f, s):
+        calls[s] += 1
+        return cap(f, s)
+
+    for module in (order, ideal):
+        monkeypatch.setattr(module, "hull_walk", counted_walk)
+        monkeypatch.setattr(module, "restricted_cap", counted_cap)
+    rules = Counter()
+    for T, phi in cases:
+        calls.clear()
+        rules[check_flat(T, phi).rule or "HOLDS"] += 1
+        assert calls.pop("walk") == 1
+        assert set(calls.values()) <= {1}, calls
+    assert set(rules) == {"HOLDS", "F2", "F3"}, rules

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -365,6 +366,12 @@ class TestCheckLowerSet:
     def test_principals_hold(self, t4):
         assert check_lower_set(t4, principal_lower(t4, F(3, 10))).holds
 
+    def test_irrational_identity_meeting_is_refused(self):
+        # the product principal at 1/2 is x -> 1/(2x) on (1/2, 1], which
+        # meets the identity of the Goedel walk at 1/sqrt(2)
+        with pytest.raises(ExactnessError, match=r"inside \(1/2, 1\)"):
+            check_lower_set(GODEL, principal_lower(PRODUCT, F(1, 2)))
+
     def test_l2_violator_under_goedel(self):
         phi = pwfn(
             [
@@ -627,7 +634,7 @@ def reference_frame_report(T, f, s, lower):
     """L3/U3 with the basic scans run on [0,1] and the pair mapped back."""
     lo, hi = s.lo, s.hi
     if f.eval(lo) < lo or f.restrict(lo, hi).global_inf().value < lo:
-        return _frame_report(T, f, s, lower)  # not a basic-case verdict
+        return _frame_report(T, f, s, lower, {})  # not a basic-case verdict
     cap = pointwise_min(f.restrict(lo, hi), PwFn.constant(hi, lo, hi))
     scan = reference_lower_scan if lower else reference_upper_scan
     pair = scan(transported(cap, lo, hi), s.kind)
@@ -681,8 +688,9 @@ def frame_inputs(T, s, rng, lower):
 
 def test_frame_scans_match_the_transport_route():
     """L3/U3 read the basic laws on the frame itself; carrying the capped
-    window onto [0,1] first gives the same rule, detail and witness, and the
-    population reaches a basic-case violation for every kind and direction."""
+    window onto [0,1] first gives the same rule, detail and witness, the cap
+    left for F3 is the capped window, and the population reaches a
+    basic-case violation for every kind and direction."""
     rng = random.Random(31)
     basic = Counter()
     for fam in range(16):
@@ -691,8 +699,13 @@ def test_frame_scans_match_the_transport_route():
             for lower in (True, False):
                 for _ in range(3):
                     for f in frame_inputs(T, s, rng, lower):
-                        got = _frame_report(T, f, s, lower)
+                        caps = {}
+                        got = _frame_report(T, f, s, lower, caps)
                         want = reference_frame_report(T, f, s, lower)
+                        if caps:
+                            window = f.restrict(s.lo, s.hi)
+                            cap = pointwise_min(window, PwFn.constant(s.hi, s.lo, s.hi))
+                            assert caps == {s: cap}
                         assert (got is None) == (want is None), (T.describe(), f)
                         if got is not None:
                             assert got.rule == want.rule and got.detail == want.detail
@@ -717,14 +730,16 @@ def reference_piece_over(f, p):
     return f.pieces[min(i, len(f.pieces) - 1)]
 
 
-def reference_hull_positions(T, f, bound):
-    """The sorted breakpoints, summand endpoints and comparator meetings."""
+def reference_hull_positions(T, f):
+    """The sorted breakpoints, summand endpoints and comparator meetings:
+    the identity off the summands, s.lo and s.hi inside a summand s."""
     base = sorted({F(0), F(1)} | set(f.positions()) | set(T.idempotent_levels()))
     pos = set(base)
     for p, q in zip(base, base[1:]):
         s = reference_gap_summand(T, p, q)
-        comp = const_piece(getattr(s, bound)) if s is not None else affine_piece(1, 0)
-        pos.update(equal_points(reference_piece_over(f, p), comp, p, q))
+        comps = [affine_piece(1, 0)] if s is None else [const_piece(s.lo), const_piece(s.hi)]
+        for comp in comps:
+            pos.update(equal_points(reference_piece_over(f, p), comp, p, q))
     return sorted(pos)
 
 
@@ -756,36 +771,47 @@ def test_hull_walk_matches_the_reference(draw):
         for f in hull_walk_inputs(T, rng):
             xs = f.positions()
             seen["breakpoint on a summand endpoint"] += bool(ends & set(xs[1:-1]))
-            for bound in ("lo", "hi"):
-                try:
-                    ref = reference_hull_positions(T, f, bound)
-                except ExactnessError:
-                    with pytest.raises(ExactnessError):
-                        hull_walk(T, f, bound)
-                    seen["refusal"] += 1
-                    continue
-                points, gaps = hull_walk(T, f, bound)
-                assert [c for c, *_ in points] == ref
-                for c, fc, lo, hi in points:
-                    hull = T.idem_hull(c)
-                    assert (fc, lo, hi) == (f.eval(c), hull.lo, hull.hi)
-                    if c not in ends and c not in xs:
-                        seen["root inside a summand" if lo < hi else "root on an idempotent gap"] += 1
-                assert [(p, q) for p, q, _, _ in gaps] == list(zip(ref, ref[1:]))
-                for p, q, piece, s in gaps:
-                    assert piece == reference_piece_over(f, p)
-                    assert s == reference_gap_summand(T, p, q)
-    assert len(seen) == 5 and min(seen.values()) > 0, seen
+            try:
+                ref = reference_hull_positions(T, f)
+            except ExactnessError:
+                with pytest.raises(ExactnessError):
+                    hull_walk(T, f)
+                seen["refusal"] += 1
+                continue
+            points, gaps = hull_walk(T, f)
+            assert [c for c, *_ in points] == ref
+            for c, fc, lo, hi in points:
+                hull = T.idem_hull(c)
+                assert (fc, lo, hi) == (f.eval(c), hull.lo, hull.hi)
+                if c not in ends and c not in xs:
+                    seen["root inside a summand" if lo < hi else "root on an idempotent gap"] += 1
+            assert [(p, q) for p, q, _, _ in gaps] == list(zip(ref, ref[1:]))
+            for p, q, piece, s in gaps:
+                assert piece == reference_piece_over(f, p)
+                assert s == reference_gap_summand(T, p, q)
+                if s is not None and {p, q}.isdisjoint(ends | set(xs)):
+                    seen["summand gap cut at both s.lo and s.hi"] += 1
+    assert len(seen) == 6 and min(seen.values()) > 0, seen
 
 
 def test_holding_inputs_need_no_hull_lookup(monkeypatch):
-    """The checkers and k_set read every hull from the walk; only a
-    violation report looks a point's hull up."""
+    """The checkers and k_set read every hull from the walk, and so do the
+    L2, U2 and F2 violation reports: none looks a point's hull up."""
     rng = random.Random(17)
     cases = []
     for fam in range(16):
         T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
         cases.append((T, random_lower(T, rng), random_upper(T, rng), flat_candidates(T, rng, 2)))
+    rng = random.Random(18)
+    violations = []
+    for fam in range(16):
+        T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
+        fs = [(check_lower_set, monotone_mesh(T, rng, False))]
+        fs += [(check_upper_set, monotone_mesh(T, rng, True))]
+        fs += [(check_flat, mutated_flat(T, rng, "F2"))]
+        violations += [(check, T, f, check(T, f)) for check, f in fs if f is not None]
+    violations = [v for v in violations if v[3].rule in ("L2", "U2", "F2")]
+    assert {rep.rule for *_, rep in violations} == {"L2", "U2", "F2"}
 
     def lookup(self, c):
         raise AssertionError("per-point hull lookup")
@@ -796,3 +822,45 @@ def test_holding_inputs_need_no_hull_lookup(monkeypatch):
         for f in flats:
             assert check_flat(T, f).holds
             assert k_set(T, f).intervals
+    for check, T, f, rep in violations:
+        assert check(T, f) == rep
+
+
+def monotone_mesh(T, rng, increasing):
+    """Chords or steps through sorted random values on the summand endpoints
+    and a few random points: a monotone function no law was asked to hold."""
+    xs = sorted({F(0), F(1)} | set(T.idempotent_levels()) | {random_rat(rng) for _ in range(3)})
+    vals = sorted((random_rat(rng) for _ in xs), reverse=not increasing)
+    if rng.random() < 0.5:
+        return pwfn([Breakpoint(x, v, v, v) for x, v in zip(xs, vals)])
+    steps = [vals[0]] + vals
+    return pwfn([Breakpoint(x, u, v, v) for x, u, v in zip(xs, steps, vals)])
+
+
+def test_checker_identity_hash():
+    """Every check_lower_set and check_upper_set outcome on seeds 0-29, both
+    draws, over the hull-walk inputs, two monotone meshes and the frame
+    inputs of every summand: holds, rule, detail and exact witness (or the
+    refusal), serialized by repr and hashed.  The verify stdout prints no
+    lower- or upper-set witness, so this digest is what pins them."""
+    rows, rules = [], Counter()
+    for seed in range(30):
+        for draw in (random_tnorm, tnorm_over_997):
+            rng = random.Random(seed)
+            T = draw(rng)
+            fs = hull_walk_inputs(T, rng) + [monotone_mesh(T, rng, up) for up in (False, True)]
+            for s, lower in ((s, lower) for s in T.summands for lower in (True, False)):
+                fs += frame_inputs(T, s, rng, lower)
+            for f in fs:
+                for check in (check_lower_set, check_upper_set):
+                    try:
+                        rep = check(T, f)
+                    except ExactnessError:
+                        rows.append("ExactnessError")
+                        continue
+                    rows.append((rep.holds, rep.rule, rep.detail, rep.witness))
+                    rules[rep.rule or "HOLDS"] += 1
+    assert set(rules) == {"HOLDS", "L1", "L2", "L3", "L4", "U1", "U2", "U3"}, rules
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert len(rows) == 3130
+    assert digest == "245a3edcf6e3cce70da1e7881da59c41dce2cf3867140dff2d50fc618410ceca"

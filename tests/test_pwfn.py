@@ -264,17 +264,16 @@ def _random_fn(rng) -> PwFn:
 class TestMonotone:
     def test_constant_both_ways(self):
         c = PwFn.constant(F(1, 2))
-        assert c.is_monotone("decreasing").holds
-        assert c.is_monotone("increasing").holds
+        assert c.monotone_violation("decreasing") is None
+        assert c.monotone_violation("increasing") is None
 
     def test_identity_not_decreasing(self):
-        rep = PwFn.identity().is_monotone("decreasing")
-        assert not rep.holds
-        w = rep.witness
-        assert w.a < w.b and w.value_a < w.value_b
+        f = PwFn.identity()
+        a, b = f.monotone_violation("decreasing")
+        assert a < b and f.eval(a) < f.eval(b)
 
     def test_jump_fn_decreasing(self):
-        assert jump_fn().is_monotone("decreasing").holds
+        assert jump_fn().monotone_violation("decreasing") is None
 
     def test_jump_violations_have_real_pairs(self):
         f = pwfn(
@@ -284,10 +283,12 @@ class TestMonotone:
                 Breakpoint(F(1), F(1, 2), F(1, 2), F(1, 2)),
             ]
         )
-        rep = f.is_monotone("decreasing")
-        assert not rep.holds
-        w = rep.witness
-        assert f.eval(w.a) < f.eval(w.b) and w.a < w.b
+        a, b = f.monotone_violation("decreasing")
+        assert f.eval(a) < f.eval(b) and a < b
+
+    def test_unknown_direction_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            PwFn.identity().monotone_violation("sideways")
 
 
 class TestPieces:
