@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .order import (
-    _cplus,
+    _gap_walk,
     _lower_set,
     _min_gap_sup,
     hull_walk,
@@ -27,7 +27,6 @@ from .order import (
     principal_upper,
     restricted_cap,
     tensor,
-    tensor_reaches,
 )
 from .pwfn import PwFn, _solve_eq, pointwise_min, pwfn
 from .rat import ONE, ZERO, DomainError, Rat, ensure_unit, fmt_rat
@@ -283,16 +282,14 @@ def _separating_pair(
 ) -> Optional[TensorWitness]:
     """The witness when tensor(phi, psi1 ^ psi2) < min(t1, t2), a single tensor
     not given being computed in full.  conj is monotone, so the joint never
-    exceeds the minimum: only whether it reaches it is asked, and the joint
-    itself is computed for a witness alone."""
+    exceeds the minimum: one walk stops once the joint reaches it, and a
+    joint below it comes out exact, ready for the witness."""
     if t1 is None:
         t1 = tensor(T, phi, psi1).value
     if t2 is None:
         t2 = tensor(T, phi, psi2).value
-    both = pointwise_min(psi1, psi2)
-    if tensor_reaches(T, phi, both, min(t1, t2)):
-        return None
-    return TensorWitness(c, psi1, psi2, tensor(T, phi, both).value, t1, t2)
+    joint = _gap_walk(T, phi, pointwise_min(psi1, psi2), min(t1, t2)).value
+    return None if joint >= min(t1, t2) else TensorWitness(c, psi1, psi2, joint, t1, t2)
 
 
 def _verified_pair_witness(
@@ -382,7 +379,7 @@ def net_ideal(T: OrdinalSumTNorm, net: NetSpec) -> PwFn:
         return principal_lower(T, net.limit)
     x = net.limit
     s = next((s for s in T.summands if s.lo < x <= s.hi), None)
-    return pwfn(*lower_profile(s, x, x, _cplus(T, x)))
+    return pwfn(*lower_profile(s, x, x, s.hi if s else x))
 
 
 # ---------------------------------------------------------------------------

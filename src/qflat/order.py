@@ -17,23 +17,22 @@ import operator
 from itertools import chain
 from typing import Callable, Optional
 
-from ._sup import SupResult, linfrac_ratfunc, p_add, p_mul, p_scale, p_sub, sup_ratfunc
+from ._sup import SupResult, linfrac_ratfunc, p_add, p_mul, p_scale, p_sub, quad_roots, sup_ratfunc
 from .pwfn import (
     Breakpoint,
     LinFrac,
     PwFn,
     _solve_eq,
+    _with_level,
     affine_piece,
     const_piece,
     crossings,
-    equal_points,
     gap_probes,
     halve_toward,
     linfrac,
-    pointwise_min,
     pwfn,
 )
-from .rat import ONE, ZERO, DomainError, Rat, ensure_unit, fmt_rat
+from .rat import ONE, ZERO, DomainError, ExactnessError, Rat, ensure_unit, fmt_rat
 from .report import HOLDS, CheckReport, PairWitness, PointWitness, violated
 from .tnorms import OrdinalSumTNorm, Summand, SummandKind
 
@@ -210,8 +209,8 @@ def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -
     """Branch and bound: conj <= min and each piece is monotone or constant on
     its gap, so min(max of phi's limits, max of psi's limits) bounds a gap.
     Gaps go in descending bound order until a bound is below the best value.
-    With a target, the walk stops at the first bound below the target or once
-    the best value reaches it, and only tells whether the value reaches it.
+    With a target, the walk also stops once the best value reaches it, so a
+    value below the target is the exact supremum.
     """
     _require_unit_domain(phi, "tensor operand")
     _require_unit_domain(psi, "tensor operand")
@@ -234,7 +233,7 @@ def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -
     gaps = sorted(((min(max(lf[i]), max(lg[i])), i) for i in range(len(lf))), reverse=True)
     levels = T.idempotent_levels()
     for bound, i in gaps:
-        if (bound < best) if target is None else (bound < target or best >= target):
+        if bound < best or (target is not None and best >= target):
             break
         fp, gp, u, v = phi2.pieces[i], psi2.pieces[i], pos[i], pos[i + 1]
         # a piece meets a level inside the gap iff the level lies strictly
@@ -256,10 +255,6 @@ def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -
 # characterization checkers: shared machinery
 
 
-def _cplus(T: OrdinalSumTNorm, c: Rat) -> Rat:
-    return T.idem_hull(c).hi
-
-
 def hull_walk(T: OrdinalSumTNorm, f: PwFn) -> tuple[list[tuple], list[tuple]]:
     """One pass over f's pieces and T's summands, cut at every position where
     f against the idempotent hull can change: breakpoints, summand endpoints,
@@ -274,23 +269,26 @@ def hull_walk(T: OrdinalSumTNorm, f: PwFn) -> tuple[list[tuple], list[tuple]]:
     f = s.lo < c+.  Both cuts solve linear equations: they raise nothing.
     """
     _require_unit_domain(f, "function")
-    bps, sums, levels = f.breakpoints, T.summands, T.idempotent_levels()
-    ident = affine_piece(ONE, ZERO)
+    bps, sums = f.breakpoints, T.summands
     points: list[tuple] = []
     gaps: list[tuple] = []
-    li = j = 0
+    j = 0
     for piece, u, v in zip(f.pieces, bps, bps[1:]):
         p, fp = u.x, u.at
         while p < v.x:
-            while li < len(levels) and levels[li] <= p:
-                li += 1
             while j < len(sums) and sums[j].hi <= p:
                 j += 1
-            q = min(levels[li], v.x) if li < len(levels) else v.x
             s = sums[j] if j < len(sums) and sums[j].lo <= p else None
+            q = min(v.x, s.hi if s else sums[j].lo) if j < len(sums) else v.x
             points.append((p, fp, s.lo, s.hi) if s and s.lo < p else (p, fp, p, p))
             if s is None:
-                roots = [(x, x, x, x) for x in equal_points(piece, ident, p, q)]
+                # piece = x: the numerator -c x^2 + (a - d) x + b vanishes
+                meets = quad_roots(-piece.c, piece.a - piece.d, piece.b, p, q)
+                if meets and meets[0][0] is None:
+                    raise ExactnessError(
+                        f"irrational piece equality inside ({fmt_rat(p)}, {fmt_rat(q)})"
+                    )
+                roots = [(x, x, x, x) for x, _ in meets]
             else:
                 meets = ((_solve_eq(piece, k), k) for k in (s.lo, s.hi))
                 roots = sorted((x, k, s.lo, s.hi) for x, k in meets if x is not None and p < x < q)
@@ -324,7 +322,7 @@ def def_upper_witness(T: OrdinalSumTNorm, psi: PwFn, x: Rat, y: Rat) -> PairWitn
 
 def restricted_cap(f: PwFn, s: Summand) -> PwFn:
     """sigma = min(c+, f) on the frame of s, kept in frame coordinates."""
-    return pointwise_min(f.restrict(s.lo, s.hi), PwFn.constant(s.hi, s.lo, s.hi))
+    return _with_level(f.restrict(s.lo, s.hi), s.hi, min)
 
 
 # -- basic-case violations in frame coordinates -------------------------------

@@ -340,11 +340,11 @@ class PwFn:
     # -- structural surgery ---------------------------------------------------
 
     def refine(self, positions: Iterable[Rat]) -> "PwFn":
-        """Insert breakpoints at the given interior positions (no-op elsewhere)."""
-        extra = sorted(
-            {Rat(p) for p in positions if self.lo < p < self.hi}
-            - {bp.x for bp in self.breakpoints}
-        )
+        """Insert breakpoints at the given interior positions, exact points of
+        [0,1] (no-op at the others)."""
+        # no integer is interior, so every position kept is a Fraction
+        cuts = {p for p in positions if self.lo < ensure_unit(p, "breakpoint position") < self.hi}
+        extra = sorted(cuts - set(self._xs))
         if not extra:
             return self
         bps = [self.breakpoints[0]]
@@ -363,19 +363,18 @@ class PwFn:
     def restrict(self, lo: Rat, hi: Rat) -> "PwFn":
         """The restriction to [lo, hi] as a PwFn on that domain (self when
         that is already its domain)."""
-        lo, hi = Rat(lo), Rat(hi)
+        lo, hi = (Rat(ensure_unit(v, "restriction bound")) for v in (lo, hi))
         if (lo, hi) == (self.lo, self.hi):
             return self
         if not (self.lo <= lo < hi <= self.hi):
             raise DomainError("restriction window not inside the domain")
-        f = self.refine([lo, hi])
-        bps = [bp for bp in f.breakpoints if lo <= bp.x <= hi]
-        idx = {bp.x: i for i, bp in enumerate(f.breakpoints)}
-        pcs = [f.pieces[i] for i in range(idx[bps[0].x], idx[bps[-1].x])]
-        first, last = bps[0], bps[-1]
-        bps[0] = Breakpoint(first.x, first.at, first.at, first.right)
-        bps[-1] = Breakpoint(last.x, last.left, last.at, last.at)
-        return pwfn(bps, pcs)
+        xs, bps = self._xs, self.breakpoints
+        i, j = bisect.bisect_right(xs, lo), bisect.bisect_left(xs, hi)  # xs[i:j] inside
+        pcs = list(self.pieces[i - 1 : j])
+        a, b = pcs[0](lo), pcs[-1](hi)
+        at_lo, at_hi = bps[i - 1].at if xs[i - 1] == lo else a, bps[j].at if xs[j] == hi else b
+        ends = Breakpoint(lo, at_lo, at_lo, a), Breakpoint(hi, b, at_hi, at_hi)
+        return _canon([ends[0], *bps[i:j], ends[1]], pcs)
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +426,17 @@ def pwfn(
                     f"piece on ({fmt_rat(u.x)}, {fmt_rat(v.x)}) disagrees with"
                     " its one-sided endpoint values"
                 )
+    return _canon(pts, pcs)
 
-    i = 1
-    while i < len(pts) - 1:
+
+def _canon(pts: list[Breakpoint], pcs: list[LinFrac]) -> PwFn:
+    """The PwFn of valid breakpoints and pieces, with every breakpoint that
+    neither jumps nor changes the piece merged away.  Only slices and
+    level caps of validated functions skip :func:`pwfn` for it."""
+    for i in range(len(pts) - 2, 0, -1):  # right to left: no index left to visit moves
         bp = pts[i]
         if bp.left == bp.at == bp.right and pcs[i - 1] == pcs[i]:
-            del pts[i]
-            del pcs[i]
-        else:
-            i += 1
+            del pts[i], pcs[i]
     return PwFn(tuple(pts), tuple(pcs))
 
 
@@ -473,7 +474,7 @@ def _with_level(f: PwFn, k: Rat, pick: Callable) -> PwFn:
             out.append(Breakpoint(_solve_eq(piece, k), k, k, k))
             pcs += [piece, flat] if keep_l else [flat, piece]
         out.append(pv)
-    return pwfn(out, pcs)
+    return _canon(out, pcs)
 
 
 def _pointwise(f: PwFn, g: PwFn, pick: Callable) -> PwFn:

@@ -352,6 +352,23 @@ def test_package_has_no_unused_imports():
     assert not stale, stale
 
 
+def test_only_pwfn_builds_a_pwfn_unvalidated():
+    """PwFn(...) and pwfn._canon skip validation, so only pwfn.py calls them:
+    every other module builds through pwfn() or a public constructor."""
+    import ast
+
+    calls = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qflat").glob("*.py")):
+        if path.name == "pwfn.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("PwFn", "_canon"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, calls
+
+
 def test_package_has_no_unreferenced_private_definitions():
     """Every module-level private function or class of the package is named
     by some module of it outside its own definition; like the unused-import

@@ -311,3 +311,36 @@ def test_f3_witness_with_phi0_below_one_under_product():
     c = F(1, 4)
     wit = TensorWitness(c, PwFn.constant(half), principal_upper(PRODUCT, c), c, F(9, 20), half)
     assert (conds["F3"].holds, conds["F3"].rule, conds["F3"].witness) == (False, "F3", wit)
+
+
+def test_one_joint_walk_per_canonical_pair(monkeypatch):
+    """The witness search walks the joint tensor of each canonical pair it
+    tries once: the walk that decides the pair also gives a witness's joint,
+    which is the full tensor of phi with psi1 ^ psi2.  F2 and F3 are read
+    apart, and lower sets with phi(0) < 1 make pairs that fail."""
+    rng = random.Random(47)
+    cases = []
+    for fam in range(16):
+        T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
+        mutants = (mutated_flat(T, rng, rule) for rule in ("F2", "F3"))
+        cases += [(T, phi) for phi in mutants if phi is not None]
+        cases += [(T, random_lower(T, rng)) for _ in range(2)]
+    walks = []
+    walk = ideal._gap_walk
+    monkeypatch.setattr(ideal, "_gap_walk", lambda *args: walks.append(args) or walk(*args))
+    calls = CountCalls(monkeypatch)
+    seen = Counter()
+    for T, phi in cases:
+        walks.clear()
+        calls.pairs = 0
+        conds = flat_conditions(T, phi)
+        assert len(walks) == calls.pairs, T.describe()
+        found = sum(isinstance(rep.witness, TensorWitness) for rep in conds.values())
+        seen["pair failed"] += calls.pairs > found
+        for rule in ("F2", "F3"):
+            w = conds[rule].witness
+            if isinstance(w, TensorWitness):
+                assert w.joint == tensor(T, phi, pointwise_min(w.psi1, w.psi2)).value
+                assert w.joint < min(w.sep1, w.sep2)
+                seen[rule] += 1
+    assert min(seen[k] for k in ("F2", "F3", "pair failed")) > 0, seen

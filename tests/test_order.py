@@ -1,5 +1,6 @@
 import bisect
 import hashlib
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -824,6 +825,43 @@ def test_holding_inputs_need_no_hull_lookup(monkeypatch):
             assert k_set(T, f).intervals
     for check, T, f, rep in violations:
         assert check(T, f) == rep
+
+
+def test_hull_walk_meets_the_identity_in_closed_form(monkeypatch):
+    """The walk solves an identity meeting from the piece's coefficients and
+    takes each cut from its summand index: it calls neither equal_points nor
+    _meets, and never T.idempotent_levels().  Its refusal keeps the message
+    of equal_points."""
+    pwfn_module = importlib.import_module("qflat.pwfn")
+    identity = affine_piece(1, 0)
+    with pytest.raises(ExactnessError) as want:
+        equal_points(GOLDEN.pieces[0], identity, F(0), F(1))
+    rng = random.Random(19)
+    cases = []
+    for fam in range(16):
+        T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
+        cases += [(T, f) for f in hull_walk_inputs(T, rng)]
+
+    def forbidden(*args):
+        raise AssertionError("general meeting or level lookup inside hull_walk")
+
+    for name in ("equal_points", "_meets"):
+        monkeypatch.setattr(pwfn_module, name, forbidden)
+    monkeypatch.setattr(OrdinalSumTNorm, "idempotent_levels", forbidden)
+    with pytest.raises(ExactnessError) as got:
+        hull_walk(GODEL, GOLDEN)
+    assert str(got.value) == str(want.value) == "irrational piece equality inside (0, 1)"
+    seen = Counter()
+    for T, f in cases:
+        try:
+            points, _ = hull_walk(T, f)
+        except ExactnessError as exc:
+            assert str(exc).startswith("irrational piece equality inside (")
+            seen["refusal"] += 1
+            continue
+        xs = set(f.positions()) | {e for s in T.summands for e in (s.lo, s.hi)}
+        seen["identity meeting"] += sum(lo == hi and c not in xs for c, _, lo, hi in points)
+    assert min(seen.values()) > 0 and len(seen) == 2, seen
 
 
 def monotone_mesh(T, rng, increasing):

@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from qflat.oracle import (
 from qflat.order import principal_lower, principal_upper, restricted_cap
 from qflat.pwfn import (
     LinFrac,
+    _with_level,
     affine_piece,
     const_piece,
     crossings,
@@ -33,6 +35,8 @@ from qflat.pwfn import (
     print_pwfn,
 )
 from qflat.tnorms import SummandKind
+
+from conftest import tnorm_over_997
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
@@ -214,6 +218,54 @@ class TestConstantOperand:
                 restricted_cap(phi, s)
             _separating_pair(T, phi, c, *witness_upper_pair(T, phi, c))
             pointwise_min(PwFn.constant(phi.eval(c)), principal_upper(T, c))
+
+
+def trusted_outputs(draw, seed):
+    """(T, f, result, reference) for every restrict, _with_level and
+    restricted_cap call made on a seeded family's functions: summand frames
+    and a random window, each capped and floored at its ends, a random
+    level and one of its own values.  The reference gives the value the
+    result must take at each point of its domain."""
+    rng = random.Random(seed)
+    T = draw(rng)
+    fs = [random_lower(T, rng), random_upper(T, rng), random_pwfn(rng)]
+    fs += flat_candidates(T, rng, 2)
+    fs += [g for g in (mutated_flat(T, rng, rule) for rule in ("F2", "F3")) if g is not None]
+    for f in fs:
+        window = tuple(sorted(F(v, 24) for v in rng.sample(range(25), 2)))
+        for lo, hi in {(s.lo, s.hi) for s in T.summands} | {window}:
+            r = f.restrict(lo, hi)
+            yield T, f, r, f.eval
+            for g in (f, r):
+                values = sorted({v for bp in g.breakpoints for v in (bp.left, bp.at, bp.right)})
+                for k in {lo, hi, random_rat(rng), rng.choice(values)}:
+                    for pick in (min, max):
+                        yield T, g, _with_level(g, k, pick), lambda x, g=g, k=k, p=pick: p(g(x), k)
+        for s in T.summands:
+            yield T, f, restricted_cap(f, s), lambda x, f=f, s=s: min(f(x), s.hi)
+
+
+@pytest.mark.parametrize("draw", [random_tnorm, tnorm_over_997], ids=lambda d: d.__name__)
+def test_trusted_output_is_valid_canonical_and_right(draw):
+    """restrict and _with_level build their results without pwfn(): each one
+    must already be what pwfn() makes of its breakpoints and pieces, and take
+    the reference value at every breakpoint and at three points of every gap
+    (two pieces agreeing at three points of a gap agree on all of it)."""
+    seen = Counter()
+    for seed in range(15):
+        for T, f, r, ref in trusted_outputs(draw, seed):
+            assert r == pwfn(r.breakpoints, r.pieces), (T.describe(), f, r)
+            xs = r.positions()
+            probes = {t for u, v in zip(xs, xs[1:]) for t in gap_probes(u, v)}
+            inner = {x for x in f.positions() if r.lo <= x <= r.hi}
+            for x in inner | set(xs) | probes:
+                assert r(x) == ref(x), (T.describe(), f, r, x)
+            seen["glued summands"] += any(a.hi == b.lo for a, b in zip(T.summands, T.summands[1:]))
+            seen["fractional piece"] += any(not p.is_affine for p in r.pieces)
+            if (r.lo, r.hi) == (f.lo, f.hi):
+                seen["crossing split at the level"] += len(xs) > len(f.breakpoints)
+                seen["breakpoint merged away"] += len(xs) < len(f.breakpoints)
+    assert len(seen) == 4 and min(seen.values()) > 0, seen
 
 
 class TestGlobalSup:

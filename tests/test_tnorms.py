@@ -260,6 +260,8 @@ ENTRY_POINTS = {
     "PwFn.from_points": (lambda v: PwFn.from_points([(0, v), (F(1, 2), v), (1, 1)]), (1, F(1, 10))),
     "PwFn.from_points position": (lambda v: PwFn.from_points([(0, 0), (v, 0), (1, 1)]), (F(1, 10),)),
     "PwFn.eval": (lambda v: PwFn.identity().eval(v), (1, F(1, 10))),
+    "PwFn.refine": (lambda v: PwFn.identity().refine([v]), (1, F(1, 10))),
+    "PwFn.restrict": (lambda v: PwFn.identity().restrict(v, 1), (0, F(1, 10))),
 }
 
 
