@@ -49,6 +49,7 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
+        _require_int(self.resolution, "grid resolution")
         if self.resolution < 1:
             raise DomainError("grid resolution must be at least 1")
 
@@ -77,8 +78,14 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_int(self.trials, "trial budget")
         if self.trials < 1:
             raise DomainError("trial budget must be positive")
+
+
+def _require_int(v: object, what: str) -> None:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise DomainError(f"{what} must be an int, not {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +105,13 @@ def _scale_to_lcm(*rows: Sequence[Rat]) -> tuple[int, list[list[int]]]:
 
 def scaled_pair_ops(
     T: OrdinalSumTNorm, pts: Sequence[Rat], vals: Sequence[Rat]
-) -> tuple[int, list[int], list[int], Callable, Callable]:
-    """(D, pts*D, vals*D, conj, res) for the grid loops, on integers only.
+) -> tuple[int, list[int], list[int], list[int], Callable, Callable]:
+    """(D, pts*D, vals*D, ends*D, conj, res) for the grid loops, on integers.
 
     ``D`` is the lcm of the denominators of the points, the values and the
-    summand endpoints.  ``res(a, b)`` is the residuum a -> b for scaled
-    a > b; ``conj(f, n, d)`` is the t-norm of a scaled value f and the
-    value n/(d*D).  Both return a pair (n, d) and re-derive the ordinal-sum
+    summand endpoints; ``ends`` lists lo, hi of each summand in order.
+    ``res(a, b)`` is the residuum a -> b for scaled a > b; ``conj(f, n, d)``
+    is the t-norm of a scaled value f and the value n/(d*D).  Both return a pair (n, d) and re-derive the ordinal-sum
     formulas without calling ``T``.
     """
     ends = [e for s in T.summands for e in (s.lo, s.hi)]
@@ -137,7 +144,7 @@ def scaled_pair_ops(
                 return lo * (a - lo) + (hi - lo) * (b - lo), a - lo
         return b, 1
 
-    return D, P, V, conj, res
+    return D, P, V, E, conj, res
 
 
 # ---------------------------------------------------------------------------
@@ -257,71 +264,81 @@ def verify_sandwich(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
 # definitional falsifiers
 
 
+def _grid_values(f: PwFn, pts: Sequence[Rat]) -> list[Rat]:
+    """[f.eval(p) for p in pts] for ascending ``pts``, in one pass over the
+    breakpoints of f; a point off f's domain raises the DomainError of
+    ``f.eval`` for the first such point."""
+    lo, hi = f.lo, f.hi
+    if pts[0] < lo or pts[-1] > hi:
+        f.eval(pts[0] if pts[0] < lo else pts[bisect.bisect_right(pts, hi)])
+    bps, pieces = f.breakpoints, f.pieces
+    out = []
+    i = 0
+    for p in pts:
+        while bps[i].x < p:
+            i += 1
+        out.append(bps[i].at if bps[i].x == p else pieces[i - 1](p))
+    return out
+
+
 def falsify_lower_set(T: OrdinalSumTNorm, phi: PwFn, grid: GridSpec) -> CheckReport:
     """Search real point pairs for conj(phi(x), d_L(y,x)) > phi(y).
 
     A holds verdict means only "no counterexample at this resolution".
+    Pairs y <= x reduce to monotonicity, checked first, so phi does not
+    increase on the grid afterwards.  In row x, let [lo, hi) be the summand
+    holding x.  For y > hi no summand holds both x and y, so y -> x = x and
+    the lhs is conj(phi(x), x) on that part of the row; phi(y) is least at
+    y = 1, so a pair there fails only if (x, 1) does, and the part is
+    scanned only then.  The scan keeps pair order, so the first violation
+    and its witness are those of the scan over every pair.
     """
-    pts = grid.points(T, phi)
-    vals = [phi.eval(p) for p in pts]
-    # pairs with y <= x reduce to monotonicity
-    for i in range(len(pts) - 1):
-        if vals[i] < vals[i + 1]:
-            return violated(
-                "DEF",
-                PairWitness(
-                    pts[i + 1], pts[i], vals[i + 1], vals[i], vals[i + 1], vals[i], "<="
-                ),
-                detail="definitional falsifier (monotone part)",
-            )
-    D, P, V, conj, res = scaled_pair_ops(T, pts, vals)
-    n = len(pts)
-    for ix in range(n):
-        x = P[ix]
-        fx = V[ix]
-        for iy in range(ix + 1, n):
-            num, den = conj(fx, *res(P[iy], x))
-            if num > V[iy] * den:
-                lhs = Fraction(num, den * D)
-                return violated(
-                    "DEF",
-                    PairWitness(pts[ix], pts[iy], vals[ix], vals[iy], lhs, vals[iy], "<="),
-                    detail=f"definitional falsifier, grid n={grid.resolution}",
-                )
-    return CheckReport(
-        True, detail=f"no counterexample among {len(pts)}^2 sampled pairs"
-    )
+    return _falsify_pairs(T, phi, grid, True)
 
 
 def falsify_upper_set(T: OrdinalSumTNorm, psi: PwFn, grid: GridSpec) -> CheckReport:
-    """Search real point pairs for conj(d_L(x,y), psi(x)) > psi(y)."""
-    pts = grid.points(T, psi)
-    vals = [psi.eval(p) for p in pts]
-    for i in range(len(pts) - 1):
-        if vals[i] > vals[i + 1]:
-            return violated(
-                "DEF",
-                PairWitness(
-                    pts[i], pts[i + 1], vals[i], vals[i + 1], vals[i], vals[i + 1], "<="
-                ),
-                detail="definitional falsifier (monotone part)",
-            )
-    D, P, V, conj, res = scaled_pair_ops(T, pts, vals)
-    for ix in range(len(pts) - 1, -1, -1):
-        x = P[ix]
-        fx = V[ix]
-        for iy in range(ix):
-            num, den = conj(fx, *res(x, P[iy]))
+    """Search real point pairs for conj(d_L(x,y), psi(x)) > psi(y).
+
+    After the monotone part psi does not decrease on the grid.  Rows run
+    from x = 1 down.  In row x, let (lo, hi] be the summand holding x.  For
+    y < lo no summand holds both x and y, nor 1 and y, so x -> y = y =
+    1 -> y; conj is monotone and psi(x) <= psi(1), so the pair fails only
+    if (1, y) fails.  Row 1 comes first and is scanned in full; any later
+    row scans only y in [lo, x).  The first violation and its witness are
+    those of the scan over every pair.
+    """
+    return _falsify_pairs(T, psi, grid, False)
+
+
+def _falsify_pairs(T: OrdinalSumTNorm, f: PwFn, grid: GridSpec, lower: bool) -> CheckReport:
+    """The monotone part, then the rows that the falsifier docstrings split."""
+    pts = grid.points(T, f)
+    vals = _grid_values(f, pts)
+    n = len(pts)
+    for i in range(n - 1):
+        if (vals[i] < vals[i + 1]) if lower else (vals[i] > vals[i + 1]):
+            a, b = (i + 1, i) if lower else (i, i + 1)
+            wit = PairWitness(pts[a], pts[b], vals[a], vals[b], vals[a], vals[b], "<=")
+            return violated("DEF", wit, detail="definitional falsifier (monotone part)")
+    D, P, V, E, conj, res = scaled_pair_ops(T, pts, vals)
+    for ix in range(n) if lower else range(n - 1, -1, -1):
+        x, fx = P[ix], V[ix]
+        if lower:
+            j = bisect.bisect_right(E, x)  # odd iff E[j - 1] <= x < E[j], a summand
+            stop = bisect.bisect_right(P, E[j]) if j % 2 else ix + 1
+            num, den = conj(fx, x, 1)  # every pair past the summand, y -> x = x
+            ys = range(ix + 1, n if num > V[-1] * den else stop)
+        else:
+            j = bisect.bisect_left(E, x)  # odd iff E[j - 1] < x <= E[j], a summand
+            start = bisect.bisect_left(P, E[j - 1]) if j % 2 else ix
+            ys = range(0 if ix == n - 1 else start, ix)
+        for iy in ys:
+            num, den = conj(fx, *(res(P[iy], x) if lower else res(x, P[iy])))
             if num > V[iy] * den:
                 lhs = Fraction(num, den * D)
-                return violated(
-                    "DEF",
-                    PairWitness(pts[ix], pts[iy], vals[ix], vals[iy], lhs, vals[iy], "<="),
-                    detail=f"definitional falsifier, grid n={grid.resolution}",
-                )
-    return CheckReport(
-        True, detail=f"no counterexample among {len(pts)}^2 sampled pairs"
-    )
+                wit = PairWitness(pts[ix], pts[iy], vals[ix], vals[iy], lhs, vals[iy], "<=")
+                return violated("DEF", wit, detail=f"definitional falsifier, grid n={grid.resolution}")
+    return CheckReport(True, detail=f"no counterexample among {n}^2 sampled pairs")
 
 
 def falsify_flat(T: OrdinalSumTNorm, phi: PwFn, cfg: TrialConfig) -> CheckReport:

@@ -200,11 +200,6 @@ def tensor(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> SupResult:
     return _gap_walk(T, phi, psi, None)
 
 
-def tensor_reaches(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, m: Rat) -> bool:
-    """Whether tensor(T, phi, psi).value >= m, without the rest of the sup."""
-    return _gap_walk(T, phi, psi, m).value >= m
-
-
 def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -> SupResult:
     """Branch and bound: conj <= min and each piece is monotone or constant on
     its gap, so min(max of phi's limits, max of psi's limits) bounds a gap.

@@ -124,21 +124,6 @@ def _meets(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> tuple:
     )
 
 
-def equal_points(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
-    """All x strictly inside (u, v) with p(x) = q(x), touch points included.
-
-    Returns [] when the pieces coincide on the whole gap (the equality set
-    is then not isolated points at all).  Raises :class:`ExactnessError`
-    when an irrational solution exists inside the gap.
-    """
-    xs = [x for x, _ in _meets(p, q, u, v)]
-    if xs and xs[0] is None:
-        raise ExactnessError(
-            f"irrational piece equality inside ({fmt_rat(u)}, {fmt_rat(v)})"
-        )
-    return xs
-
-
 def crossings(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
     """Interior points of (u, v) where p - q changes sign.
 

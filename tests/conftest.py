@@ -14,6 +14,8 @@ import pytest
 from hypothesis import settings
 
 from qflat import GODEL, LUKASIEWICZ, PRODUCT, PwFn, make_tnorm
+from qflat.pwfn import LinFrac, _meets
+from qflat.rat import ExactnessError, Rat, fmt_rat
 from qflat.tnorms import OrdinalSumTNorm, SummandKind
 
 settings.register_profile("exact", deadline=None)
@@ -70,3 +72,18 @@ def tnorm_over_997(rng: random.Random) -> OrdinalSumTNorm:
         for i in range(4)
         if rng.randrange(4)
     )
+
+
+def equal_points(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
+    """All x strictly inside (u, v) with p(x) = q(x), touch points included.
+
+    Returns [] when the pieces coincide on the whole gap (the equality set
+    is then not isolated points at all).  Raises :class:`ExactnessError`
+    when an irrational solution exists inside the gap.
+    """
+    xs = [x for x, _ in _meets(p, q, u, v)]
+    if xs and xs[0] is None:
+        raise ExactnessError(
+            f"irrational piece equality inside ({fmt_rat(u)}, {fmt_rat(v)})"
+        )
+    return xs

@@ -392,3 +392,34 @@ def test_package_has_no_unreferenced_private_definitions():
                     names.discard(stmt.name)
             used |= names
     assert not {n: at for n, at in defined.items() if n not in used}
+
+
+def test_grid_kernel_is_independent_of_the_checked_code():
+    """The grid falsifiers, their integer kernel and every oracle function or
+    class they name re-derive the t-norm: none names what ``qflat.order`` or
+    ``qflat.ideal`` export, nor a ``.conj``/``.residuum`` attribute."""
+    import ast
+
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "qflat" / "oracle.py").read_text())
+    checked = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("order", "ideal", "qflat.order", "qflat.ideal")
+        for alias in node.names
+    }
+    defs = {d.name: d for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+    todo, seen, uses = ["falsify_lower_set", "falsify_upper_set", "scaled_pair_ops"], set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in checked:
+                uses.append(f"{name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr in ("conj", "residuum"):
+                uses.append(f"{name}:{node.lineno} .{node.attr}")
+    assert {"_grid_values", "_scale_to_lcm", "GridSpec"} <= seen
+    assert not uses, uses

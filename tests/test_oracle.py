@@ -1,5 +1,6 @@
 import bisect
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from qflat.ideal import check_flat
 from qflat.oracle import (
     GridSpec,
     TrialConfig,
+    _monotone_mesh,
     equivalence_harness,
     falsify_flat,
     falsify_lower_set,
@@ -26,7 +28,7 @@ from qflat.oracle import (
     verify_sandwich,
 )
 from qflat.order import check_lower_set, check_upper_set, principal_lower
-from qflat.rat import ONE, ZERO
+from qflat.rat import ONE, ZERO, DomainError
 from qflat.report import CheckReport, PointWitness, violated
 from qflat.tnorms import OrdinalSumTNorm
 
@@ -337,17 +339,36 @@ class TestFalsifiers:
         assert falsify_upper_set(t4, principal_upper(t4, F(2, 5)), GridSpec(64)).holds
 
 
-def _kernel_matches_definition(T, f, grid, lower):
-    """Every pair the falsifier visits, recomputed with T.conj/T.residuum.
+def _summand_holding(T, x, lower):
+    """The summand [lo, hi) (lower) or (lo, hi] (upper) holding x, or None."""
+    for s in T.summands:
+        if (s.lo <= x < s.hi) if lower else (s.lo < x <= s.hi):
+            return s
+    return None
+
+
+def _region(T, x, y, lower):
+    """Which part of the split falsifier row the pair (x, y) lies in."""
+    s = _summand_holding(T, x, lower)
+    if lower:
+        return "lower within" if s is not None and y <= s.hi else "lower past"
+    if s is not None and y >= s.lo:
+        return "upper within"
+    return "upper at 1 below" if x == ONE else "upper below"
+
+
+def _kernel_matches_definition(T, f, grid, lower, regions=None):
+    """Every grid pair, recomputed with T.conj/T.residuum.
 
     Returns the falsifier's verdict after checking that the kernel's value
     of each pair equals the definitional one, that a violation's witness
     lhs is that exact Fraction, and that the first definitional violation
-    in pair order is the one reported.
+    in pair order is the one reported.  ``regions`` counts the violating
+    pairs by the part of the split row they lie in.
     """
     pts = grid.points(T, f)
     vals = [f.eval(p) for p in pts]
-    D, P, V, conj, res = scaled_pair_ops(T, pts, vals)
+    D, P, V, E, conj, res = scaled_pair_ops(T, pts, vals)
     n = len(pts)
     if lower:
         pairs = [(ix, iy) for ix in range(n) for iy in range(ix + 1, n)]
@@ -362,8 +383,11 @@ def _kernel_matches_definition(T, f, grid, lower):
             num, den = conj(V[ix], *res(P[ix], P[iy]))
             want = T.conj(T.residuum(pts[ix], pts[iy]), vals[ix])
         assert den > 0 and F(num, den * D) == want, (T.describe(), pts[ix], pts[iy])
-        if first is None and want > vals[iy]:
-            first = (pts[ix], pts[iy], want)
+        if want > vals[iy]:
+            if first is None:
+                first = (pts[ix], pts[iy], want)
+            if regions is not None:
+                regions[_region(T, pts[ix], pts[iy], lower)] += 1
     rep = (falsify_lower_set if lower else falsify_upper_set)(T, f, grid)
     if not rep.holds:
         w = rep.witness
@@ -377,6 +401,35 @@ def _kernel_matches_definition(T, f, grid, lower):
         if first is not None:
             assert (w.a, w.b, w.lhs) == first
     return rep.holds
+
+
+def mesh_fn(rng, T, increasing, step):
+    """A monotone mesh through T's summand ends; ``step`` keeps the mesh
+    values at the points and jumps to the previous value just below some."""
+    xs, vals = _monotone_mesh(rng, T, increasing)
+    if not step:
+        return PwFn.from_points(list(zip(xs, vals)))
+    bps = []
+    for i, (x, v) in enumerate(zip(xs, vals)):
+        left = vals[i - 1] if i and rng.random() < 0.5 else v
+        bps.append(Breakpoint(x, left, v, v))
+    return pwfn(bps)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("size", [2.5, 8.0, "8", F(8), None, True])
+    def test_non_int_sizes_refused_at_construction(self, size):
+        with pytest.raises(DomainError, match="must be an int"):
+            GridSpec(size)
+        with pytest.raises(DomainError, match="must be an int"):
+            TrialConfig(size)
+
+    def test_int_sizes(self):
+        assert len(GridSpec(4).points()) == 5 and TrialConfig(3, seed=2).trials == 3
+        with pytest.raises(DomainError, match="at least 1"):
+            GridSpec(0)
+        with pytest.raises(DomainError, match="positive"):
+            TrialConfig(0)
 
 
 class TestGridKernel:
@@ -394,6 +447,34 @@ class TestGridKernel:
                 grid = GridSpec(resolution)
                 verdicts.add(_kernel_matches_definition(T, f, grid, lower))
         assert verdicts == {True, False}
+
+    def test_split_rows_keep_every_witness(self):
+        """Monotone meshes reach the pair loop, so their violations fall in
+        every part of a split row: within the summand of x and past it
+        (lower), below the summand of 1 in row 1 and within the summand of
+        x (upper).  Each report is the first of the scan over all pairs."""
+        rng = random.Random(18)
+        regions = Counter()
+        verdicts = Counter()
+        for trial in range(160):
+            T = random_tnorm(rng) if trial % 2 else tnorm_over_997(rng)
+            lower = trial % 4 < 2
+            f = mesh_fn(rng, T, not lower, step=trial % 3 == 0)
+            grid = GridSpec(6 + trial % 7)
+            verdicts[_kernel_matches_definition(T, f, grid, lower, regions)] += 1
+        for region in ("lower within", "lower past", "upper at 1 below", "upper within"):
+            assert regions[region] > 0, regions
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    @pytest.mark.parametrize("falsify", [falsify_lower_set, falsify_upper_set])
+    def test_point_off_the_domain_is_named(self, falsify):
+        for f, msg in (
+            (PwFn.identity().restrict(F(1, 4), F(1, 2)), "point 0 outside domain [1/4, 1/2]"),
+            (PwFn.identity().restrict(F(0), F(1, 2)), "point 5/8 outside domain [0, 1/2]"),
+        ):
+            with pytest.raises(DomainError) as err:
+                falsify(GODEL, f, GridSpec(8))
+            assert str(err.value) == msg
 
 
 class TestFalsifyFlat:

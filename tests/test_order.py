@@ -23,6 +23,7 @@ from qflat.oracle import (
 from qflat.order import (
     _conj_gap_sup,
     _frame_report,
+    _gap_walk,
     _lukasiewicz_scan,
     _pair_near,
     _solve_eq,
@@ -36,7 +37,6 @@ from qflat.order import (
     principal_lower,
     principal_upper,
     tensor,
-    tensor_reaches,
 )
 from qflat.pwfn import (
     LinFrac,
@@ -44,7 +44,6 @@ from qflat.pwfn import (
     affine_piece,
     chord,
     const_piece,
-    equal_points,
     halve_toward,
     linfrac,
     pointwise_max,
@@ -54,7 +53,7 @@ from qflat.rat import ExactnessError, fmt_rat
 from qflat.report import PairWitness, PointWitness, violated
 from qflat.tnorms import OrdinalSumTNorm, SummandKind
 
-from conftest import grid, grid_tensor, tnorm_over_997
+from conftest import equal_points, grid, grid_tensor, tnorm_over_997
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
@@ -273,6 +272,11 @@ class TestTensorPruning:
         assert tensor(GODEL, phi, psi) == SupResult(F(1), True)
         with pytest.raises(ExactnessError):
             unpruned_tensor(GODEL, phi, psi)
+
+
+def tensor_reaches(T, phi, psi, m):
+    """Whether the walk with target m reaches it: tensor(T, phi, psi).value >= m."""
+    return _gap_walk(T, phi, psi, m).value >= m
 
 
 class TestTensorReaches:
@@ -829,9 +833,9 @@ def test_holding_inputs_need_no_hull_lookup(monkeypatch):
 
 def test_hull_walk_meets_the_identity_in_closed_form(monkeypatch):
     """The walk solves an identity meeting from the piece's coefficients and
-    takes each cut from its summand index: it calls neither equal_points nor
-    _meets, and never T.idempotent_levels().  Its refusal keeps the message
-    of equal_points."""
+    takes each cut from its summand index: it never calls the general root
+    analysis _meets, nor T.idempotent_levels().  Its refusal keeps the
+    message of the reference equal_points."""
     pwfn_module = importlib.import_module("qflat.pwfn")
     identity = affine_piece(1, 0)
     with pytest.raises(ExactnessError) as want:
@@ -845,8 +849,7 @@ def test_hull_walk_meets_the_identity_in_closed_form(monkeypatch):
     def forbidden(*args):
         raise AssertionError("general meeting or level lookup inside hull_walk")
 
-    for name in ("equal_points", "_meets"):
-        monkeypatch.setattr(pwfn_module, name, forbidden)
+    monkeypatch.setattr(pwfn_module, "_meets", forbidden)
     monkeypatch.setattr(OrdinalSumTNorm, "idempotent_levels", forbidden)
     with pytest.raises(ExactnessError) as got:
         hull_walk(GODEL, GOLDEN)

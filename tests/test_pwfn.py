@@ -26,7 +26,6 @@ from qflat.pwfn import (
     affine_piece,
     const_piece,
     crossings,
-    equal_points,
     gap_probes,
     linfrac,
     parse_pwfn_body,
@@ -36,7 +35,7 @@ from qflat.pwfn import (
 )
 from qflat.tnorms import SummandKind
 
-from conftest import tnorm_over_997
+from conftest import equal_points, tnorm_over_997
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
