@@ -2,12 +2,13 @@
 
 Pieces of the tensor integrand are quotients N/D of polynomials with
 rational coefficients, each a product of two linear-fractional pieces, so
-N and D have degree at most 2.  The maximum over an interval sits at an
-endpoint or at a root of W = N'D - ND'.  The x**3 terms of N'D and ND'
-are both 2*n2*d2*x**3 and cancel, so W is at most quadratic and
-:func:`quad_roots` finds its roots exactly.  The same root analysis
-serves every other question of where two pieces meet.  An irrational
-critical point that could carry the maximum raises
+N = n0 + n1*x + n2*x**2 and D = d0 + d1*x + d2*x**2.  The maximum over an
+interval sits at an endpoint or at a root of W = N'D - ND'.  The x**3
+terms of N'D and ND' are both 2*n2*d2*x**3 and cancel, which leaves
+W = A*x**2 + B*x + C with A = n2*d1 - n1*d2, B = 2*(n2*d0 - n0*d2) and
+C = n1*d0 - n0*d1, whose roots :func:`quad_roots` finds exactly.  The
+same root analysis serves every other question of where two pieces meet.
+An irrational critical point that could carry the maximum raises
 :class:`ExactnessError` instead of ever being approximated.
 """
 
@@ -16,49 +17,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .rat import ZERO, ExactnessError, Rat, rat_sqrt
-
-Poly = tuple[Rat, ...]  # ascending coefficients
-
-
-def p_trim(p: Sequence[Rat]) -> Poly:
-    q = list(p)
-    while q and q[-1] == 0:
-        q.pop()
-    return tuple(q)
-
-
-def p_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return p_trim([(p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO) for i in range(n)])
-
-
-def p_sub(p: Poly, q: Poly) -> Poly:
-    return p_add(p, tuple(-c for c in q))
-
-
-def p_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return p_trim(out)
-
-
-def p_scale(p: Poly, k: Rat) -> Poly:
-    return p_trim([c * k for c in p])
-
-
-def p_eval(p: Poly, x: Rat) -> Rat:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def p_deriv(p: Poly) -> Poly:
-    return p_trim([i * c for i, c in enumerate(p)][1:])
 
 
 def quad_roots(
@@ -106,25 +64,23 @@ class SupResult(NamedTuple):
     attained: bool
 
 
-def sup_ratfunc(num: Poly, den: Poly, u: Rat, v: Rat) -> SupResult:
+def sup_ratfunc(num: Sequence[Rat], den: Sequence[Rat], u: Rat, v: Rat) -> SupResult:
     """Supremum of N/D over [u, v]; D must be nonzero on [u, v].
 
-    N and D have degree at most 2.  ``attained`` reports whether the
-    maximum is achieved strictly inside (u, v); the endpoint values count as
-    one-sided limits for the caller.
+    N and D are ascending coefficients of degree at most 2.  ``attained``
+    reports whether the maximum is achieved strictly inside (u, v); the
+    endpoint values count as one-sided limits for the caller.
     """
-    num, den = p_trim(num), p_trim(den)
-    if not num:
-        return SupResult(ZERO, True)
+    assert len(num) <= 3 and len(den) <= 3, "tensor piece of degree above 2 over 2"
+    n0, n1, n2 = (*num, ZERO, ZERO, ZERO)[:3]
+    d0, d1, d2 = (*den, ZERO, ZERO, ZERO)[:3]
 
     def h(x: Rat) -> Rat:
-        return p_eval(num, x) / p_eval(den, x)
+        return ((n2 * x + n1) * x + n0) / ((d2 * x + d1) * x + d0)
 
-    w = p_sub(p_mul(p_deriv(num), den), p_mul(num, p_deriv(den)))
-    if not w:
+    C, B, A = n1 * d0 - n0 * d1, 2 * (n2 * d0 - n0 * d2), n2 * d1 - n1 * d2
+    if A == B == C == 0:
         return SupResult(h(u), True)
-    assert len(w) <= 3, "tensor piece of degree above 2 over 2"
-    C, B, A = (*w, ZERO, ZERO)[:3]
     cands: list[tuple[Rat, bool]] = [(h(u), False), (h(v), False)]
     for r, slope in quad_roots(A, B, C, u, v):
         if r is not None:
@@ -134,8 +90,3 @@ def sup_ratfunc(num: Poly, den: Poly, u: Rat, v: Rat) -> SupResult:
     best = max(val for val, _ in cands)
     attained = any(flag for val, flag in cands if val == best)
     return SupResult(best, attained)
-
-
-def linfrac_ratfunc(piece) -> tuple[Poly, Poly]:
-    """(numerator, denominator) polynomials of a LinFrac piece."""
-    return p_trim((piece.b, piece.a)), p_trim((piece.d, piece.c))

@@ -325,22 +325,7 @@ def _verified_pair_witness(
 
 
 # ---------------------------------------------------------------------------
-# structure: principal extraction, restriction, nets
-
-
-def extract_principal(T: OrdinalSumTNorm, phi: PwFn) -> Optional[Rat]:
-    """Recover x with phi = d_L(-, x) for a basic-kind t-norm on (0,1).
-
-    The candidate is forced: x = phi(1).  Returns None when the exact
-    function equality fails (which, for a flat ideal, signals an internal
-    inconsistency rather than a legitimate outcome).
-    """
-    if len(T.summands) != 1 or T.summands[0].lo != ZERO or T.summands[0].hi != ONE:
-        raise DomainError("principal extraction needs a single summand covering (0,1)")
-    x = phi.eval(ONE)
-    if phi == principal_lower(T, x):
-        return x
-    return None
+# structure: restriction, nets
 
 
 def restrict_ideal(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> PwFn:

@@ -17,7 +17,7 @@ import operator
 from itertools import chain
 from typing import Callable, Optional
 
-from ._sup import SupResult, linfrac_ratfunc, p_add, p_mul, p_scale, p_sub, quad_roots, sup_ratfunc
+from ._sup import SupResult, quad_roots, sup_ratfunc
 from .pwfn import (
     Breakpoint,
     LinFrac,
@@ -167,6 +167,11 @@ def _min_gap_sup(fp: LinFrac, gp: LinFrac, u: Rat, v: Rat) -> SupResult:
     return SupResult(best, attained)
 
 
+def _lin_mul(a0: Rat, a1: Rat, b0: Rat, b1: Rat) -> tuple[Rat, Rat, Rat]:
+    """Ascending coefficients of (a0 + a1*x) * (b0 + b1*x)."""
+    return a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+
+
 def _conj_gap_sup(
     T: OrdinalSumTNorm, fp: LinFrac, gp: LinFrac, u: Rat, v: Rat
 ) -> SupResult:
@@ -178,21 +183,21 @@ def _conj_gap_sup(
     )
     if s is None:
         return _min_gap_sup(fp, gp, u, v)
-    nf, df = linfrac_ratfunc(fp)
-    ng, dg = linfrac_ratfunc(gp)
-    if s.kind is SummandKind.LUKASIEWICZ:
-        num = p_add(p_mul(nf, dg), p_mul(ng, df))
-        out = sup_ratfunc(num, p_mul(df, dg), u, v)
-        val = out.value - s.hi
-        if val > s.lo:
-            return SupResult(val, out.attained)
-        return SupResult(s.lo, True)
+    den = _lin_mul(fp.d, fp.c, gp.d, gp.c)
     lo, hi = s.lo, s.hi
-    num = p_add(
-        p_mul(p_sub(nf, p_scale(df, lo)), p_sub(ng, p_scale(dg, lo))),
-        p_scale(p_mul(df, dg), lo * (hi - lo)),
-    )
-    return sup_ratfunc(num, p_scale(p_mul(df, dg), hi - lo), u, v)
+    if s.kind is SummandKind.LUKASIEWICZ:
+        # f + g = (fb + fa*x)/(fd + fc*x) + (gb + ga*x)/(gd + gc*x)
+        p, q = _lin_mul(fp.b, fp.a, gp.d, gp.c), _lin_mul(gp.b, gp.a, fp.d, fp.c)
+        out = sup_ratfunc([x + y for x, y in zip(p, q)], den, u, v)
+        val = out.value - hi
+        if val > lo:
+            return SupResult(val, out.attained)
+        return SupResult(lo, True)
+    # lo + (f - lo)(g - lo)/(hi - lo) grows with (f - lo)(g - lo), so its sup
+    # sits where that product's does
+    num = _lin_mul(fp.b - lo * fp.d, fp.a - lo * fp.c, gp.b - lo * gp.d, gp.a - lo * gp.c)
+    out = sup_ratfunc(num, den, u, v)
+    return SupResult(lo + out.value / (hi - lo), out.attained)
 
 
 def tensor(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> SupResult:

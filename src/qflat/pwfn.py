@@ -525,26 +525,40 @@ def print_pwfn(f: PwFn, name: str) -> str:
 
 
 def parse_pwfn_body(name: str, lines: Sequence[str]) -> PwFn:
-    """Parse the ``point`` lines of one ``fn`` stanza."""
+    """Parse the ``point`` lines of one ``fn`` stanza.
+
+    Every fault, a bad literal or a value outside [0,1] included, is a
+    :class:`ParseError` that names the stanza.
+    """
+    try:
+        return pwfn(_point_rows(lines))
+    except (DomainError, ParseError) as exc:
+        raise ParseError(f"fn {name}: {exc}") from None
+
+
+def _point_rows(lines: Sequence[str]) -> list[Breakpoint]:
     rows: list[tuple[Rat, list[Rat]]] = []
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if not line.startswith("point"):
-            raise ParseError(f"fn {name}: unexpected line {line!r}")
+            raise ParseError(f"unexpected line {line!r}")
         try:
             head, vals = line[len("point"):].split(":", 1)
         except ValueError:
-            raise ParseError(f"fn {name}: missing ':' in {line!r}") from None
+            raise ParseError(f"missing ':' in {line!r}") from None
         x = ensure_unit(parse_rat(head), "breakpoint position")
         values = [ensure_unit(parse_rat(tok), "breakpoint value") for tok in vals.split()]
         if not 1 <= len(values) <= 3:
-            raise ParseError(f"fn {name}: expected 1-3 values, got {len(values)}")
+            raise ParseError(f"expected 1-3 values, got {len(values)}")
         rows.append((x, values))
     if len(rows) < 2:
-        raise ParseError(f"fn {name}: needs at least points at both domain ends")
+        raise ParseError(f"needs at least points at both domain ends")
     rows.sort(key=lambda r: r[0])
+    for (x, _), (y, _) in zip(rows, rows[1:]):
+        if x == y:
+            raise ParseError(f"duplicate point {fmt_rat(x)}")
     bps = []
     last = len(rows) - 1
     for i, (x, values) in enumerate(rows):
@@ -562,8 +576,8 @@ def parse_pwfn_body(name: str, lines: Sequence[str]) -> PwFn:
                 left, at, right = values
         else:
             raise ParseError(
-                f"fn {name}: point {fmt_rat(x)} expects {expected} values"
+                f"point {fmt_rat(x)} expects {expected} values"
                 f" (or 1), got {len(values)}"
             )
         bps.append(Breakpoint(x, left, at, right))
-    return pwfn(bps)
+    return bps

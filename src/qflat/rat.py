@@ -29,10 +29,12 @@ class DomainError(ValueError):
 class ExactnessError(ArithmeticError):
     """An exact rational answer does not exist (irrational critical point).
 
-    Raised instead of ever returning an approximation.  ``tensor`` has not
-    been seen to raise it.  The checkers raise it when the function meets
-    the identity at an irrational point between summands, as x -> 1/(2x),
-    the product principal at 1/2, does under Goedel at 1/sqrt(2).
+    Raised instead of ever returning an approximation.  ``tensor`` raises
+    it on an irrational interior maximum or crossing inside a gap, seen on
+    monotone meshes with hyperbolic arcs, not on drawn lower/upper sets.
+    The checkers raise it when the function meets the identity at an
+    irrational point between summands, as x -> 1/(2x), the product
+    principal at 1/2, does under Goedel at 1/sqrt(2).
     ``pointwise_min`` and ``pointwise_max`` raise it only for two
     non-constant operands, such as a lower set with an upper set (19-72 of
     800 random pairs per kind pair): a piece meets a constant only at

@@ -281,6 +281,23 @@ class TestSpecFile:
         with pytest.raises(ParseError):
             parse_specfile("fn a\npoint 0 : 1\npoint 1 : 1\nfn a\npoint 0 : 0\npoint 1 : 0\n")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("point 0 : 1\npoint 0 : 1/2\npoint 1 : 0\n", "parse error: fn f: duplicate point 0"),
+            ("point 0 : 2\npoint 1 : 0\n", "parse error: fn f: breakpoint value 2 outside [0,1]"),
+            ("point x : 1\npoint 1 : 0\n", "parse error: fn f: bad rational literal ' x '"),
+        ],
+        ids=["duplicate_point", "value_outside_unit", "bad_literal"],
+    )
+    def test_fn_stanza_fault_exit_2(self, capsys, tmp_path, body, message):
+        # as a tnorm stanza fault does: exit 2, naming the stanza
+        path = tmp_path / "bad.spec"
+        path.write_text("fn f\n" + body)
+        code, out, err = run(capsys, "--spec", str(path), "eval", "godel", "conj", "1/2", "1/2")
+        assert code == 2 and out == ""
+        assert err.startswith(message) and "Traceback" not in err
+
     def test_directory_spec_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "--spec", str(tmp_path), "verify", "--suite", "lemma37")
         assert code == 3 and err.startswith("domain error:")

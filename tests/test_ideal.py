@@ -9,7 +9,6 @@ from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, DomainError, PwFn, id
 from qflat.ideal import (
     NetSpec,
     check_flat,
-    extract_principal,
     flat_conditions,
     frame_principal_lower,
     is_inhabited,
@@ -82,7 +81,6 @@ class TestCheckFlat:
             x0 = F(rng.randint(0, 256), 256)
             phi = principal_lower(PRODUCT, x0)
             assert check_flat(PRODUCT, phi).holds
-            assert extract_principal(PRODUCT, phi) == x0
 
     def test_min_case_equivalence(self):
         # under min, flat iff lower set with full membership at 0
@@ -164,31 +162,6 @@ class TestWitnessPair:
         assert (
             tensor(t4, phi, pointwise_min(psi1, psi2)) == tensor(t4, phi, psi1)
         )
-
-
-class TestExtractPrincipal:
-    def test_lukasiewicz_random(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            x0 = F(rng.randint(0, 360), 360)
-            assert extract_principal(LUKASIEWICZ, principal_lower(LUKASIEWICZ, x0)) == x0
-
-    def test_bottom_and_top(self):
-        assert extract_principal(PRODUCT, principal_lower(PRODUCT, F(0))) == 0
-        assert extract_principal(PRODUCT, PwFn.constant(F(1))) == 1
-
-    def test_requires_basic_tnorm(self, t4):
-        with pytest.raises(DomainError):
-            extract_principal(t4, PwFn.constant(F(1)))
-
-    def test_non_principal_returns_none(self):
-        f = pwfn(
-            [
-                Breakpoint(F(0), F(1), F(1), F(1)),
-                Breakpoint(F(1), F(1, 2), F(1, 2), F(1, 2)),
-            ]
-        )
-        assert extract_principal(LUKASIEWICZ, f) is None
 
 
 class TestRestrictIdeal:

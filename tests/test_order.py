@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, pwfn
+from qflat._sup import quad_roots
 from qflat.ideal import check_flat, k_set
 from qflat.oracle import (
     flat_candidates,
@@ -25,6 +26,7 @@ from qflat.order import (
     _frame_report,
     _gap_walk,
     _lukasiewicz_scan,
+    _min_gap_sup,
     _pair_near,
     _solve_eq,
     check_lower_set,
@@ -905,3 +907,149 @@ def test_checker_identity_hash():
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert len(rows) == 3130
     assert digest == "245a3edcf6e3cce70da1e7881da59c41dce2cf3867140dff2d50fc618410ceca"
+
+
+# -- the closed-form gap supremum against the polynomial route ----------------
+
+
+def p_trim(p):
+    q = list(p)
+    while q and q[-1] == 0:
+        q.pop()
+    return tuple(q)
+
+
+def p_add(p, q):
+    n = max(len(p), len(q))
+    return p_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def p_sub(p, q):
+    return p_add(p, tuple(-c for c in q))
+
+
+def p_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return p_trim(out)
+
+
+def p_scale(p, k):
+    return p_trim([c * k for c in p])
+
+
+def p_eval(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def p_deriv(p):
+    return p_trim([i * c for i, c in enumerate(p)][1:])
+
+
+def linfrac_ratfunc(piece):
+    return p_trim((piece.b, piece.a)), p_trim((piece.d, piece.c))
+
+
+def reference_sup_ratfunc(num, den, u, v):
+    """Sup of N/D over [u, v] with W = N'D - ND' built by polynomial algebra."""
+    num, den = p_trim(num), p_trim(den)
+    if not num:
+        return SupResult(F(0), True)
+
+    def h(x):
+        return p_eval(num, x) / p_eval(den, x)
+
+    w = p_sub(p_mul(p_deriv(num), den), p_mul(num, p_deriv(den)))
+    if not w:
+        return SupResult(h(u), True)
+    C, B, A = (*w, F(0), F(0))[:3]
+    cands = [(h(u), False), (h(v), False)]
+    for r, slope in quad_roots(A, B, C, u, v):
+        if r is not None:
+            cands.append((h(r), True))
+        elif slope < 0:
+            raise ExactnessError("irrational critical point inside a tensor piece")
+    best = max(val for val, _ in cands)
+    return SupResult(best, any(flag for val, flag in cands if val == best))
+
+
+def reference_conj_gap_sup(T, fp, gp, u, v):
+    """The summand branch's integrand as one polynomial quotient, lo kept inside."""
+    mid = (u + v) / 2
+    fm, gm = fp(mid), gp(mid)
+    s = next((s for s in T.summands if s.lo <= fm <= s.hi and s.lo <= gm <= s.hi), None)
+    if s is None:
+        return "min", _min_gap_sup(fp, gp, u, v)
+    nf, df = linfrac_ratfunc(fp)
+    ng, dg = linfrac_ratfunc(gp)
+    if s.kind is SummandKind.LUKASIEWICZ:
+        out = reference_sup_ratfunc(p_add(p_mul(nf, dg), p_mul(ng, df)), p_mul(df, dg), u, v)
+        val = out.value - s.hi
+        return s.kind, SupResult(val, out.attained) if val > s.lo else SupResult(s.lo, True)
+    lo, hi = s.lo, s.hi
+    num = p_add(
+        p_mul(p_sub(nf, p_scale(df, lo)), p_sub(ng, p_scale(dg, lo))),
+        p_scale(p_mul(df, dg), lo * (hi - lo)),
+    )
+    return s.kind, reference_sup_ratfunc(num, p_scale(p_mul(df, dg), hi - lo), u, v)
+
+
+def level_gaps(T, f, g):
+    """(fp, gp, u, v) of every gap of f and g refined together and cut where
+    either piece meets an idempotent level, so each gap keeps one branch."""
+    pos = sorted(set(f.positions()) | set(g.positions()))
+    f, g = f.refine(pos), g.refine(pos)
+    for i, (fp, gp) in enumerate(zip(f.pieces, g.pieces)):
+        u, v = pos[i], pos[i + 1]
+        cuts = {x for p in (fp, gp) for lv in T.idempotent_levels() for x in [_solve_eq(p, lv)]}
+        xs = [u, *sorted(x for x in cuts if x is not None and u < x < v), v]
+        for p, q in zip(xs, xs[1:]):
+            yield fp, gp, p, q
+
+
+def gap_sup_operands(T, rng):
+    """Lower and upper sets, flat candidates, principals and their min, and
+    the frame meshes of each summand, whose hyperbolic arcs bend both ways."""
+    fs = [random_lower(T, rng), random_upper(T, rng), flat_candidates(T, rng, 1)[0]]
+    fs += [principal_lower(T, random_rat(rng)), principal_upper(T, random_rat(rng))]
+    try:
+        fs.append(pointwise_min(fs[3], fs[4]))
+    except ExactnessError:  # an irrational crossing: no such function
+        pass
+    for s in T.summands:
+        fs += [next(frame_inputs(T, s, rng, lower)) for lower in (True, False)]
+    return fs
+
+
+def test_conj_gap_sup_matches_the_polynomial_route():
+    """Each gap supremum built from the closed-form products, with the
+    product branch's lo shift applied after the supremum, equals the one
+    built by generic polynomial algebra, and refuses exactly when it does."""
+    seen = Counter()
+    for seed in range(16):
+        rng = random.Random(seed)
+        T = (random_tnorm, tnorm_over_997)[seed % 2](rng)
+        fs = gap_sup_operands(T, rng)
+        for f in fs:
+            for g in fs:
+                for fp, gp, u, v in level_gaps(T, f, g):
+                    try:
+                        branch, want = reference_conj_gap_sup(T, fp, gp, u, v)
+                    except ExactnessError:
+                        with pytest.raises(ExactnessError):
+                            _conj_gap_sup(T, fp, gp, u, v)
+                        seen["refusal"] += 1
+                        continue
+                    assert _conj_gap_sup(T, fp, gp, u, v) == want, (T.describe(), fp, gp, u, v)
+                    seen[branch] += 1
+                    ends = max(T.conj(fp(x), gp(x)) for x in (u, v))
+                    if branch != "min" and want.attained and want.value > ends:
+                        seen["interior maximum"] += 1
+    assert len(seen) == 5 and min(seen.values()) > 0, seen
