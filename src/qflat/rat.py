@@ -38,7 +38,8 @@ class ExactnessError(ArithmeticError):
     ``pointwise_min`` and ``pointwise_max`` raise it only for two
     non-constant operands, such as a lower set with an upper set (19-72 of
     800 random pairs per kind pair): a piece meets a constant only at
-    rational points.  Such a combination is a documented refusal.
+    rational points, and the drawn lower sets, the F1-F3 mutants included,
+    meet each other only there.  Such a combination is a documented refusal.
     """
 
 

@@ -28,6 +28,8 @@ class Summand:
     kind: SummandKind
 
     def __post_init__(self):
+        if not isinstance(self.kind, SummandKind):
+            raise DomainError(f"unknown summand kind {self.kind!r}")
         ensure_unit(self.lo, "summand endpoint")
         ensure_unit(self.hi, "summand endpoint")
         if self.lo >= self.hi:
@@ -132,14 +134,17 @@ def make_tnorm(summands: Iterable[Summand | tuple]) -> OrdinalSumTNorm:
     """Validate and sort a summand family; the empty family is min.
 
     Touching closures (a shared endpoint between two summands) are allowed;
-    overlapping open intervals are not.
+    overlapping open intervals are not.  A kind is a SummandKind or its name.
     """
     norm: list[Summand] = []
     for s in summands:
         if not isinstance(s, Summand):
-            lo, hi, kind = s
+            try:
+                lo, hi, kind = s
+            except (TypeError, ValueError):
+                raise DomainError(f"summand row {s!r} is not a (lo, hi, kind) triple") from None
             if isinstance(kind, str):
-                kind = SummandKind(kind.lower())
+                kind = {k.value: k for k in SummandKind}.get(kind.lower(), kind)
             lo, hi = (Rat(ensure_unit(v, "summand endpoint")) for v in (lo, hi))
             s = Summand(lo, hi, kind)
         norm.append(s)
@@ -195,11 +200,7 @@ def parse_tnorm_body(name: str, lines: Sequence[str]) -> OrdinalSumTNorm:
         toks = line.split()
         if toks[0] != "summand" or len(toks) != 4:
             raise ParseError(f"tnorm {name}: unexpected line {line!r}")
-        try:
-            kind = SummandKind(toks[3].lower())
-        except ValueError:
-            raise ParseError(f"tnorm {name}: unknown summand kind {toks[3]!r}") from None
-        rows.append((parse_rat(toks[1]), parse_rat(toks[2]), kind))
+        rows.append(toks[1:])
     alias = builtin(name)
     if alias is not None:
         if rows:
@@ -209,6 +210,6 @@ def parse_tnorm_body(name: str, lines: Sequence[str]) -> OrdinalSumTNorm:
             )
         return alias
     try:
-        return make_tnorm(rows)
-    except DomainError as exc:
+        return make_tnorm((parse_rat(lo), parse_rat(hi), kind) for lo, hi, kind in rows)
+    except (ParseError, DomainError) as exc:
         raise ParseError(f"tnorm {name}: {exc}") from None

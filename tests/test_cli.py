@@ -298,6 +298,22 @@ class TestSpecFile:
         assert code == 2 and out == ""
         assert err.startswith(message) and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("summand x 1 product", "parse error: tnorm T: bad rational literal 'x'"),
+            ("summand 0 2 product", "parse error: tnorm T: summand endpoint 2 outside [0,1]"),
+            ("summand 0 1 foo", "parse error: tnorm T: unknown summand kind 'foo'"),
+        ],
+        ids=["bad_literal", "endpoint_outside_unit", "unknown_kind"],
+    )
+    def test_tnorm_stanza_fault_exit_2(self, capsys, tmp_path, row, message):
+        path = tmp_path / "bad.spec"
+        path.write_text(f"tnorm T\n{row}\n")
+        code, out, err = run(capsys, "--spec", str(path), "eval", "godel", "conj", "1/2", "1/2")
+        assert code == 2 and out == ""
+        assert err.startswith(message) and "Traceback" not in err
+
     def test_directory_spec_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "--spec", str(tmp_path), "verify", "--suite", "lemma37")
         assert code == 3 and err.startswith("domain error:")

@@ -199,7 +199,7 @@ def test_flat_identity_hash():
             ))
     assert len(rows) == 353
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "0d10d933a136784748ddd2ae310376964fc24cdb1f38f92735a75968d10d9ee3"
+    assert digest == "123aa8851232e386a70540ec59ac60d3f10bfc6d2bfb5dec3c21719d7e98d846"
 
 
 def trial_kind(trial):

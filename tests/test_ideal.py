@@ -418,12 +418,18 @@ class TestKSet:
 
 @pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
 def test_lattice_combinations_of_lower_sets_decide_exactly(draw):
-    """Pairwise min and max of principals, constants, random lower sets and
-    flats, check_flat on them and their tensors with random upper sets never
-    raise ExactnessError: every crossing and critical point stays rational.
-    The F3 mutant of mutated_flat stays out of the set, since its pieces can
-    cross others at irrational points."""
-    from qflat.oracle import flat_candidates, random_lower, random_rat, random_tnorm, random_upper
+    """Pairwise min and max of principals, constants, random lower sets,
+    flats and the F1-F3 mutants, check_flat on them and their tensors with
+    random upper sets never raise ExactnessError: every crossing and
+    critical point stays rational."""
+    from qflat.oracle import (
+        flat_candidates,
+        mutated_flat,
+        random_lower,
+        random_rat,
+        random_tnorm,
+        random_upper,
+    )
 
     rng = random.Random(61)
     combos = 0
@@ -431,12 +437,14 @@ def test_lattice_combinations_of_lower_sets_decide_exactly(draw):
         T = random_tnorm(rng) if draw == "random_tnorm" else tnorm_over_997(rng)
         lowers = [principal_lower(T, random_rat(rng)), PwFn.constant(random_rat(rng))]
         lowers += [random_lower(T, rng), *flat_candidates(T, rng, 1)]
+        mutants = (mutated_flat(T, rng, rule) for rule in ("F1", "F2", "F3"))
+        lowers += [m for m in mutants if m is not None]
         for f, g in combinations(lowers, 2):
             for h in (pointwise_min(f, g), pointwise_max(f, g)):
                 check_flat(T, h)
                 tensor(T, h, random_upper(T, rng))
                 combos += 1
-    assert combos == 30 * 12
+    assert combos == {"random_tnorm": 1070, "tnorm_over_997": 1260}[draw]
 
 
 def test_check_flat_walks_once_and_caps_each_frame_once(monkeypatch):

@@ -12,6 +12,7 @@ from qflat.oracle import (
     GridSpec,
     TrialConfig,
     _monotone_mesh,
+    _repaired_upper,
     equivalence_harness,
     falsify_flat,
     falsify_lower_set,
@@ -30,7 +31,7 @@ from qflat.oracle import (
 from qflat.order import check_lower_set, check_upper_set, principal_lower
 from qflat.rat import ONE, ZERO, DomainError
 from qflat.report import CheckReport, PointWitness, violated
-from qflat.tnorms import OrdinalSumTNorm
+from qflat.tnorms import OrdinalSumTNorm, SummandKind
 
 from conftest import tnorm_over_997
 
@@ -502,13 +503,60 @@ class TestFalsifyFlat:
         assert not rep.holds and rep.rule == "PRE"
 
 
+def repair_steps(T, xs, raw, psi):
+    """The steps of _repaired_upper that show in psi, drawn from the raw
+    increasing mesh (xs, raw): a cap that binds on a chord, a tail cut at
+    the diagonal (the only breakpoint off the mesh), a tail held from the
+    top of a frame entered on or above its floor, and a draw that is not
+    constant."""
+    for u, v, q in zip(xs, xs[1:], raw[1:]):
+        s = T.idem_hull((u + v) / 2).summand
+        pu, pv = psi.eval(u), psi.eval(v)
+        if s is None or not pu < pv < q:
+            continue
+        if s.kind is SummandKind.LUKASIEWICZ and pv == pu + (v - u):
+            yield "lukasiewicz cap binds"
+        if s.kind is SummandKind.PRODUCT and (pv - s.lo) * (u - s.lo) == (pu - s.lo) * (v - s.lo):
+            yield "product cap binds"
+    if set(psi.positions()) - set(xs):
+        yield "diagonal-cut tail"
+    if any(psi.eval(s.lo) >= s.lo and psi.eval(s.hi) < s.hi < 1 for s in T.summands):
+        yield "frame-held tail"
+    if len({v for bp in psi.breakpoints for v in (bp.left, bp.at, bp.right)}) > 1:
+        yield "not constant"
+
+
 class TestGenerators:
-    def test_repaired_uppers_self_test(self, families):
+    def test_repaired_uppers_are_upper_sets(self):
+        """Every repaired mesh is an upper set by construction: 1,200 draws
+        pass check_upper_set, and each step of the repair shows on some."""
+        seen = Counter()
+        for seed in range(300):
+            for draw in (random_tnorm, tnorm_over_997):
+                rng = random.Random(seed)
+                T = draw(rng)
+                for _ in range(2):
+                    replay = random.Random()
+                    replay.setstate(rng.getstate())
+                    xs, raw = _monotone_mesh(replay, T, increasing=True)
+                    psi = _repaired_upper(T, rng)
+                    assert check_upper_set(T, psi).holds, (T.describe(), psi)
+                    seen["draws"] += 1
+                    seen.update(set(repair_steps(T, xs, raw, psi)))
+        assert seen["draws"] == 1200 and len(seen) == 6 and min(seen.values()) > 0, seen
+
+    def test_random_upper_runs_no_self_test(self, monkeypatch):
+        from qflat import oracle, order
+
+        def self_test(*args):
+            raise AssertionError("random_upper checked its own draw")
+
+        for module in (oracle, order):
+            monkeypatch.setattr(module, "check_upper_set", self_test)
         rng = random.Random(31)
-        for T in families:
-            for _ in range(12):
-                psi = random_upper(T, rng)
-                assert check_upper_set(T, psi).holds
+        for T in [random_tnorm(rng) for _ in range(20)] + [tnorm_over_997(rng) for _ in range(20)]:
+            for _ in range(8):
+                random_upper(T, rng)
 
     def test_lower_generator_valid(self, families):
         rng = random.Random(32)

@@ -905,8 +905,8 @@ def test_checker_identity_hash():
                     rules[rep.rule or "HOLDS"] += 1
     assert set(rules) == {"HOLDS", "L1", "L2", "L3", "L4", "U1", "U2", "U3"}, rules
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert len(rows) == 3130
-    assert digest == "245a3edcf6e3cce70da1e7881da59c41dce2cf3867140dff2d50fc618410ceca"
+    assert len(rows) == 3110
+    assert digest == "35d283148a6dda6b167fb8cdd8f6142d71f09afd804c8f88264730f6f9092ad8"
 
 
 # -- the closed-form gap supremum against the polynomial route ----------------

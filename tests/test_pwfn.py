@@ -185,13 +185,19 @@ class TestConstantOperand:
         assert min(seen.values()) > 0, seen
 
     def test_never_refuses(self):
-        # an F3 mutant meets a product-frame principal at an irrational point
+        # the chord 5/6 - x/2 on a product frame meets a frame principal at an
+        # irrational point; the F3 mutant, pasted from principal pieces, does not
         T = make_tnorm([(F(0), F(5, 6), SummandKind.PRODUCT)])
-        mutant = mutated_flat(T, random.Random(0), "F3")
+        tail = [Breakpoint(x, F(5, 12), F(5, 12), F(5, 12)) for x in (F(5, 6), F(1))]
+        chord = pwfn([Breakpoint(F(0), F(1), F(1), F(5, 6))] + tail)
+        principal = principal_lower(T, F(1, 24))
         with pytest.raises(ExactnessError):
-            pointwise_min(principal_lower(T, F(1, 24)), mutant)
+            pointwise_min(principal, chord)
+        mutant = mutated_flat(T, random.Random(0), "F3")
+        for op in (pointwise_min, pointwise_max):
+            op(principal, mutant)
         rng = random.Random(7)
-        fs = [mutant] + [random_pwfn(rng) for _ in range(30)]
+        fs = [chord, mutant] + [random_pwfn(rng) for _ in range(30)]
         for seed in range(30):
             T = random_tnorm(random.Random(seed))
             fs += [g for g in (mutated_flat(T, rng, "F3"),) if g is not None]

@@ -10,7 +10,7 @@ from qflat import GODEL, LUKASIEWICZ, PRODUCT, DomainError, ParseError, PwFn, ma
 from qflat.ideal import restrict_ideal, witness_upper_pair
 from qflat.order import principal_lower, principal_upper
 from qflat.rat import fmt_rat, parse_rat
-from qflat.tnorms import Frame, SummandKind, builtin, parse_tnorm_body, print_tnorm
+from qflat.tnorms import Frame, Summand, SummandKind, builtin, parse_tnorm_body, print_tnorm
 
 from conftest import brute_residuum, grid
 
@@ -38,6 +38,21 @@ class TestMakeTnorm:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             make_tnorm([(F(1, 2), F(1, 2), "product")])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_tnorm([Summand(F(0), F(1), "lukasiewicz")]),
+            lambda: make_tnorm([(F(0), F(1), 5)]),
+            lambda: make_tnorm([(F(0), F(1), "foo")]),
+            lambda: make_tnorm([(F(0), F(1))]),
+        ],
+        ids=["kind_name_in_summand", "kind_int", "unknown_kind_name", "pair_row"],
+    )
+    def test_bad_kind_or_row_is_a_domain_error(self, build):
+        # a kind that is not a SummandKind must not fall through to product
+        with pytest.raises(DomainError):
+            build()
 
     def test_touching_allowed(self):
         make_tnorm([(F(0), F(1, 2), "product"), (F(1, 2), F(1), "lukasiewicz")])
