@@ -28,7 +28,7 @@ from .order import (
     restricted_cap,
     tensor,
 )
-from .pwfn import PwFn, _solve_eq, pointwise_min, pwfn
+from .pwfn import PwFn, _solve_eq, merged, pointwise_min, pwfn
 from .rat import ONE, ZERO, DomainError, Rat, ensure_unit, fmt_rat
 from .report import HOLDS, CheckReport, PointWitness, TensorWitness, violated
 from .tnorms import OrdinalSumTNorm, Summand
@@ -236,15 +236,9 @@ def _check_f3(T: OrdinalSumTNorm, phi: PwFn, caps: dict[Summand, PwFn]) -> Check
 
 def _difference_points(f: PwFn, g: PwFn) -> list[Rat]:
     """Frame points where two same-domain functions visibly differ."""
-    pos = sorted({bp.x for bp in f.breakpoints} | {bp.x for bp in g.breakpoints})
-    f2, g2 = f.refine(pos), g.refine(pos)
-    out = []
-    for bf, bg in zip(f2.breakpoints, g2.breakpoints):
-        if bf.at != bg.at:
-            out.append(bf.x)
-    for i in range(len(f2.pieces)):
-        if f2.pieces[i] != g2.pieces[i]:
-            out.append((pos[i] + pos[i + 1]) / 2)
+    points, gaps = merged(f, g)
+    out = [a.x for a, b in points if a.at != b.at]
+    out += [(a.x + c.x) / 2 for (a, _), (c, _), (p, q) in zip(points, points[1:], gaps) if p != q]
     # pwfn() rejects a piece that disagrees with its stored one-sided limits
     assert out, "equal values and pieces on a common refinement mean f == g"
     return sorted(set(out))
@@ -383,13 +377,13 @@ def k_set(T: OrdinalSumTNorm, phi: PwFn) -> KSet:
             m = (p + q) / 2
             if piece(m) >= (s.hi if s else m):
                 atoms.append((p, False, q, False))
-    merged: list[list] = []
+    runs: list[list] = []
     for lo, lc, hi, hc in atoms:
-        if merged and merged[-1][2] == lo and (merged[-1][3] or lc):
-            merged[-1][2], merged[-1][3] = hi, hc
+        if runs and runs[-1][2] == lo and (runs[-1][3] or lc):
+            runs[-1][2], runs[-1][3] = hi, hc
         else:
-            merged.append([lo, lc, hi, hc])
-    return KSet(tuple(KInterval(*m) for m in merged))
+            runs.append([lo, lc, hi, hc])
+    return KSet(tuple(KInterval(*m) for m in runs))
 
 
 def tensor_via_k(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> Rat:
@@ -398,22 +392,13 @@ def tensor_via_k(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> Rat:
     K = k_set(T, phi)
     if not K.intervals:
         raise DomainError("empty K set: phi violates the ceiling condition at 0")
-    ends = {iv.lo for iv in K.intervals} | {iv.hi for iv in K.intervals}
-    pos = sorted({bp.x for bp in phi.breakpoints} | {bp.x for bp in psi.breakpoints} | ends)
-    f, g = phi.refine(pos), psi.refine(pos)
-    best: Optional[Rat] = None
+    points, gaps = merged(phi, psi)
+    vals = []
     for iv in K.intervals:
-        for i, c in enumerate(pos):
-            inside = (iv.lo < c < iv.hi) or (c == iv.lo and iv.lo_closed) or (
-                c == iv.hi and iv.hi_closed
-            )
-            if inside:
-                val = min(f.breakpoints[i].at, g.breakpoints[i].at)
-                best = val if best is None else max(best, val)
-        for i in range(len(pos) - 1):
-            u, v = pos[i], pos[i + 1]
-            if u >= iv.lo and v <= iv.hi and u < v:
-                out = _min_gap_sup(f.pieces[i], g.pieces[i], u, v)
-                best = out.value if best is None else max(best, out.value)
-    assert best is not None
-    return best
+        vals += [min(phi(x), psi(x)) for x in [iv.lo] * iv.lo_closed + [iv.hi] * iv.hi_closed]
+        vals += [min(a.at, b.at) for a, b in points if iv.lo < a.x < iv.hi]
+        for (a, _), (c, _), (fp, gp) in zip(points, points[1:], gaps):
+            p, q = max(a.x, iv.lo), min(c.x, iv.hi)  # the gap cut to the interval
+            if p < q:
+                vals.append(_min_gap_sup(fp, gp, p, q).value)
+    return max(vals)

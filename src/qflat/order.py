@@ -29,7 +29,9 @@ from .pwfn import (
     crossings,
     gap_probes,
     halve_toward,
+    kept_sign,
     linfrac,
+    merged,
     pwfn,
 )
 from .rat import ONE, ZERO, DomainError, ExactnessError, Rat, ensure_unit, fmt_rat
@@ -157,14 +159,18 @@ def _min_gap_sup(fp: LinFrac, gp: LinFrac, u: Rat, v: Rat) -> SupResult:
 
     Between crossings min(f, g) is one piece, monotone or constant, so the
     supremum sits at u, v or a crossing; a sub-gap's midpoint reaches it
-    only when the piece there is constant.
-    """
+    only when the piece there is constant.  When the end values rule
+    crossings out, min(f, g) is one piece on the gap: the sup is the larger
+    end value, reached inside exactly when the two are equal."""
+    fu, fv, gu, gv = fp(u), fp(v), gp(u), gp(v)
+    ends = min(fu, gu), min(fv, gv)
+    if kept_sign(fu, fv, gu, gv) is not None:
+        return SupResult(max(ends), ends[0] == ends[1])
     cross = crossings(fp, gp, u, v)
-    xs = [u] + cross + [v]
-    best = max(min(fp(x), gp(x)) for x in xs)
-    mids = [(p + q) / 2 for p, q in zip(xs, xs[1:])]
-    attained = any(min(fp(x), gp(x)) == best for x in cross + mids)
-    return SupResult(best, attained)
+    mids = [(p + q) / 2 for p, q in zip([u, *cross], [*cross, v])]
+    inside = [min(fp(x), gp(x)) for x in cross + mids]
+    best = max(*ends, *inside)
+    return SupResult(best, best in inside)
 
 
 def _lin_mul(a0: Rat, a1: Rat, b0: Rat, b1: Rat) -> tuple[Rat, Rat, Rat]:
@@ -206,18 +212,18 @@ def tensor(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> SupResult:
 
 
 def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -> SupResult:
-    """Branch and bound: conj <= min and each piece is monotone or constant on
-    its gap, so min(max of phi's limits, max of psi's limits) bounds a gap.
-    Gaps go in descending bound order until a bound is below the best value.
-    With a target, the walk also stops once the best value reaches it, so a
-    value below the target is the exact supremum.
-    """
+    """Branch and bound over one merged pass: conj <= min and each piece is
+    monotone or constant on its gap, so min(phi.at, psi.at) bounds a
+    breakpoint and min(max of phi's limits, max of psi's limits) a gap.
+    Both go in one queue by descending bound until a bound is below the best
+    value.  A target also stops the walk once the best value reaches it, so
+    a value below it is exact; breakpoints whose bound reaches it go first,
+    so the walk evaluates (and may refuse on) the gaps that it would if all
+    breakpoints went first."""
     _require_unit_domain(phi, "tensor operand")
     _require_unit_domain(psi, "tensor operand")
-    phi2, psi2 = phi.refine(psi._xs), psi.refine(phi._xs)
-    pos = phi2._xs
-    best = ZERO
-    attained = False
+    points, gaps = merged(phi, psi)
+    best, attained = ZERO, False
 
     def feed(val: Rat, reach: bool) -> None:
         nonlocal best, attained
@@ -226,27 +232,33 @@ def _gap_walk(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn, target: Optional[Rat]) -
         elif val == best:
             attained = attained or reach
 
-    for bf, bg in zip(phi2.breakpoints, psi2.breakpoints):
-        feed(T.conj(bf.at, bg.at), True)
-    lf = [(a.right, b.left) for a, b in zip(phi2.breakpoints, phi2.breakpoints[1:])]
-    lg = [(a.right, b.left) for a, b in zip(psi2.breakpoints, psi2.breakpoints[1:])]
-    gaps = sorted(((min(max(lf[i]), max(lg[i])), i) for i in range(len(lf))), reverse=True)
-    levels = T.idempotent_levels()
-    for bound, i in gaps:
+    queue = [(min(a.at, b.at), 0, k) for k, (a, b) in enumerate(points)]
+    for k in range(len(gaps) - 1, -1, -1):  # the sorts are stable: equal gaps go right to left
+        (a, b), (c, d) = points[k], points[k + 1]
+        queue.append((min(max(a.right, c.left), max(b.right, d.left)), 1, k))
+    queue.sort(key=operator.itemgetter(0), reverse=True)
+    if target is not None:
+        queue.sort(key=lambda item: item[1] == 1 or item[0] < target)
+    for bound, is_gap, k in queue:
         if bound < best or (target is not None and best >= target):
             break
-        fp, gp, u, v = phi2.pieces[i], psi2.pieces[i], pos[i], pos[i + 1]
+        a, b = points[k]
+        if not is_gap:
+            feed(T.conj(a.at, b.at), True)
+            continue
+        (c, d), (fp, gp) = points[k + 1], gaps[k]
+        levels = T.idempotent_levels()
         # a piece meets a level inside the gap iff the level lies strictly
         # between its limits; cutting there fixes the summand branch
         found: set[Rat] = set()
-        for piece, (a, b) in ((fp, lf[i]), (gp, lg[i])):
-            lo, hi = sorted((a, b))
+        for piece, ends in ((fp, (a.right, c.left)), (gp, (b.right, d.left))):
+            lo, hi = sorted(ends)
             inside = levels[bisect.bisect_right(levels, lo) : bisect.bisect_left(levels, hi)]
             found.update(_solve_eq(piece, lv) for lv in inside)
         cuts = sorted(found)
         for x in cuts:
             feed(T.conj(fp(x), gp(x)), True)
-        for p, q in zip([u, *cuts], [*cuts, v]):
+        for p, q in zip([a.x, *cuts], [*cuts, c.x]):
             feed(*_conj_gap_sup(T, fp, gp, p, q))
     return SupResult(best, attained)
 

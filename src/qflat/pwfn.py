@@ -416,8 +416,8 @@ def pwfn(
 
 def _canon(pts: list[Breakpoint], pcs: list[LinFrac]) -> PwFn:
     """The PwFn of valid breakpoints and pieces, with every breakpoint that
-    neither jumps nor changes the piece merged away.  Only slices and
-    level caps of validated functions skip :func:`pwfn` for it."""
+    neither jumps nor changes the piece merged away.  Slices, level caps and
+    min/max of validated functions, valid by construction, skip pwfn() for it."""
     for i in range(len(pts) - 2, 0, -1):  # right to left: no index left to visit moves
         bp = pts[i]
         if bp.left == bp.at == bp.right and pcs[i - 1] == pcs[i]:
@@ -427,6 +427,34 @@ def _canon(pts: list[Breakpoint], pcs: list[LinFrac]) -> PwFn:
 
 # ---------------------------------------------------------------------------
 # pointwise lattice operations
+
+
+def merged(f: PwFn, g: PwFn) -> tuple[list, list]:
+    """f and g, which share a domain, in one pass over the union of their
+    breakpoints that builds no PwFn: one (f, g) pair of breakpoints per
+    position and one (f, g) pair of pieces per gap, which runs from the
+    ``right`` limits of one position to the ``left`` limits of the next."""
+    fb, gb, fp, gp = f.breakpoints, g.breakpoints, f.pieces, g.pieces
+    points, gaps, i, j = [(fb[0], gb[0])], [], 1, 1
+    while i < len(fb):  # both end at the domain's end: i and j reach it together
+        a, b, p, q = fb[i], gb[j], fp[i - 1], gp[j - 1]
+        gaps.append((p, q))
+        x = min(a.x, b.x)
+        i, j = i + (a.x == x), j + (b.x == x)
+        # a function that does not break at x carries its piece value there
+        a = a if a.x == x else Breakpoint(x, *(p(x),) * 3)
+        b = b if b.x == x else Breakpoint(x, *(q(x),) * 3)
+        points.append((a, b))
+    return points, gaps
+
+
+def kept_sign(fu: Rat, fv: Rat, gu: Rat, gv: Rat) -> Optional[int]:
+    """The sign f - g keeps inside a gap if the pieces' end values show one,
+    else None.  Each piece is monotone or constant, so unless they move the
+    same way f - g is monotone: it keeps the sign its ends share (0: f == g)."""
+    su, sv = (fu > gu) - (fu < gu), (fv > gv) - (fv < gv)
+    same_way = ((fu < fv) - (fu > fv)) * ((gu < gv) - (gu > gv)) > 0
+    return None if su * sv < 0 or same_way else su or sv
 
 
 def pointwise_min(f: PwFn, g: PwFn) -> PwFn:
@@ -469,34 +497,24 @@ def _pointwise(f: PwFn, g: PwFn, pick: Callable) -> PwFn:
         k = h.breakpoints[0].at  # h is constant: one piece k, no jump at an end
         if h.pieces == (const_piece(k),) and h.breakpoints[-1].at == k:
             return _with_level(other, k, pick)
-    common = sorted({bp.x for bp in f.breakpoints} | {bp.x for bp in g.breakpoints})
-    f1, g1 = f.refine(common), g.refine(common)
-    cross: set[Rat] = set()
-    for i in range(len(f1.pieces)):
-        u, v = f1.breakpoints[i].x, f1.breakpoints[i + 1].x
-        cross.update(crossings(f1.pieces[i], g1.pieces[i], u, v))
-    if cross:
-        f1, g1 = f1.refine(cross), g1.refine(cross)
-    bps = []
-    for bf, bg in zip(f1.breakpoints, g1.breakpoints):
-        bps.append(
-            Breakpoint(
-                bf.x, pick(bf.left, bg.left), pick(bf.at, bg.at), pick(bf.right, bg.right)
-            )
-        )
-    pcs = []
-    for i in range(len(f1.pieces)):
-        u, v = f1.breakpoints[i].x, f1.breakpoints[i + 1].x
-        # no sign change inside the refined gap; probe up to three points
-        # to see past an isolated touch point
-        chosen = f1.pieces[i]
-        for t in gap_probes(u, v):
-            fa, ga = f1.pieces[i](t), g1.pieces[i](t)
-            if fa != ga:
-                chosen = f1.pieces[i] if pick(fa, ga) == fa else g1.pieces[i]
-                break
-        pcs.append(chosen)
-    return pwfn(bps, pcs)
+    points, gaps = merged(f, g)
+    bps, pcs = [], []
+    for k, (a, b) in enumerate(points):
+        bps.append(Breakpoint(a.x, pick(a.left, b.left), pick(a.at, b.at), pick(a.right, b.right)))
+        if k == len(gaps):
+            break
+        (fp, gp), (c, d) = gaps[k], points[k + 1]
+        sign = kept_sign(a.right, c.left, b.right, d.left)
+        if sign is not None:  # 0: f == g on the gap
+            pcs.append(fp if pick(sign, 0) == sign else gp)
+            continue
+        xs = [a.x, *crossings(fp, gp, a.x, c.x), c.x]
+        for u, v in zip(xs, xs[1:]):  # one sign inside: probe past a touch point
+            t = next((t for t in gap_probes(u, v) if fp(t) != gp(t)), None)
+            pcs.append(fp if t is None or pick(fp(t), gp(t)) == fp(t) else gp)
+            if v != c.x:
+                bps.append(Breakpoint(v, *(fp(v),) * 3))
+    return _canon(bps, pcs)
 
 
 # ---------------------------------------------------------------------------

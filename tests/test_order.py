@@ -46,7 +46,9 @@ from qflat.pwfn import (
     affine_piece,
     chord,
     const_piece,
+    crossings,
     halve_toward,
+    kept_sign,
     linfrac,
     pointwise_max,
     pointwise_min,
@@ -56,6 +58,8 @@ from qflat.report import PairWitness, PointWitness, violated
 from qflat.tnorms import OrdinalSumTNorm, SummandKind
 
 from conftest import equal_points, grid, grid_tensor, tnorm_over_997
+
+order_module = importlib.import_module("qflat.order")
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
@@ -274,6 +278,132 @@ class TestTensorPruning:
         assert tensor(GODEL, phi, psi) == SupResult(F(1), True)
         with pytest.raises(ExactnessError):
             unpruned_tensor(GODEL, phi, psi)
+
+
+def refined_walk(T, phi, psi, target):
+    """The gap walk on both operands refined at the union of their
+    breakpoints, every breakpoint's conjunction taken before any gap."""
+    f, g = phi.refine(psi.positions()), psi.refine(phi.positions())
+    xs = f.positions()
+    best, attained = F(0), False
+
+    def feed(val, reach):
+        nonlocal best, attained
+        if val > best:
+            best, attained = val, reach
+        elif val == best:
+            attained = attained or reach
+
+    for bf, bg in zip(f.breakpoints, g.breakpoints):
+        feed(T.conj(bf.at, bg.at), True)
+    lf = [(a.right, b.left) for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+    lg = [(a.right, b.left) for a, b in zip(g.breakpoints, g.breakpoints[1:])]
+    levels = T.idempotent_levels()
+    for bound, i in sorted(((min(max(lf[i]), max(lg[i])), i) for i in range(len(lf))), reverse=True):
+        if bound < best or (target is not None and best >= target):
+            break
+        fp, gp = f.pieces[i], g.pieces[i]
+        ends = ((fp, sorted(lf[i])), (gp, sorted(lg[i])))
+        cuts = sorted({_solve_eq(p, lv) for p, (lo, hi) in ends for lv in levels if lo < lv < hi})
+        for x in cuts:
+            feed(T.conj(fp(x), gp(x)), True)
+        for p, q in zip([xs[i], *cuts], [*cuts, xs[i + 1]]):
+            feed(*order_module._conj_gap_sup(T, fp, gp, p, q))
+    return SupResult(best, attained)
+
+
+def walk_cases(seed):
+    """(T, phi, psi, target) for seeded lower sets, flats and F2/F3 mutants
+    against principal, constant and random upper sets, and against the min
+    of every two of those with the target a separation test gives it."""
+    rng = random.Random(seed)
+    T = (random_tnorm, tnorm_over_997)[seed % 2](rng)
+    phis = [random_lower(T, rng), *flat_candidates(T, rng, 2)]
+    phis += [g for g in (mutated_flat(T, rng, rule) for rule in ("F2", "F3")) if g is not None]
+    psis = [principal_upper(T, random_rat(rng)), PwFn.constant(random_rat(rng))]
+    psis += [random_upper(T, rng), random_upper(T, rng)]
+    for phi in phis:
+        singles = [tensor(T, phi, psi).value for psi in psis]
+        for psi, value in zip(psis, singles):
+            for target in (None, value, value + F(1, 997), random_rat(rng)):
+                yield T, phi, psi, target
+        for i, j in ((i, j) for i in range(len(psis)) for j in range(i)):
+            try:
+                joint = pointwise_min(psis[i], psis[j])
+            except ExactnessError:  # an irrational crossing: no such function
+                continue
+            yield T, phi, joint, None
+            yield T, phi, joint, min(singles[i], singles[j])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_merged_walk_matches_the_refined_walk(seed, monkeypatch):
+    """The walk over one merged pass, breakpoints queued with gaps, passes
+    the same sub-gaps to _conj_gap_sup as the refined walk that takes every
+    breakpoint first, so it meets the same refusals.  Without a target it
+    returns the same supremum; with one, the same decision, and the same
+    exact value below the target."""
+    calls = []
+    inner = order_module._conj_gap_sup
+    monkeypatch.setattr(order_module, "_conj_gap_sup", lambda *a: calls.append(a[1:]) or inner(*a))
+    seen = Counter()
+    for T, phi, psi, target in walk_cases(seed):
+        outs = []
+        for walk in (refined_walk, _gap_walk):
+            calls.clear()
+            try:
+                outs.append((walk(T, phi, psi, target), list(calls)))
+            except ExactnessError:
+                outs.append((None, list(calls)))
+        (want, want_gaps), (got, got_gaps) = outs
+        assert got_gaps == want_gaps, (T.describe(), phi, psi, target)
+        if want is None or got is None:
+            assert want is got
+            seen["refusal"] += 1
+        elif target is None or want.value < target:
+            assert got == want, (T.describe(), phi, psi, target)
+            seen["exact"] += 1
+        else:
+            assert got.value >= target, (T.describe(), phi, psi, target)
+            seen["reached"] += 1
+    assert seen["exact"] and seen["reached"], seen
+
+
+def searched_min_gap_sup(fp, gp, u, v):
+    """_min_gap_sup with a crossing search on every gap."""
+    xs = [u, *crossings(fp, gp, u, v), v]
+    best = max(min(fp(x), gp(x)) for x in xs)
+    inside = xs[1:-1] + [(p + q) / 2 for p, q in zip(xs, xs[1:])]
+    return SupResult(best, any(min(fp(x), gp(x)) == best for x in inside))
+
+
+def test_min_gap_sup_matches_the_crossing_search():
+    """On every gap of every walk, cut at the idempotent levels, the sup of
+    min(f, g) is the one a crossing search finds, refusals included, both
+    where the end values rule crossings out and where they do not."""
+    seen = Counter()
+    cases = (case for seed in range(8) for case in walk_cases(seed))
+    for T, phi, psi, target in cases:
+        if target is not None:
+            continue
+        for fp, gp, u, v in level_gaps(T, phi, psi):
+            skip = kept_sign(fp(u), fp(v), gp(u), gp(v)) is not None
+            try:
+                want = searched_min_gap_sup(fp, gp, u, v)
+            except ExactnessError:
+                with pytest.raises(ExactnessError):
+                    _min_gap_sup(fp, gp, u, v)
+                seen["refusal"] += 1
+                continue
+            assert _min_gap_sup(fp, gp, u, v) == want, (T.describe(), fp, gp, u, v)
+            seen["skip" if skip else "search"] += 1
+            seen["crossing"] += bool(crossings(fp, gp, u, v))
+    assert seen["skip"] and seen["search"] and seen["crossing"], seen
+    # x and (2x - 1/5)/(x + 1) rise together and cross at (5 -+ sqrt(5))/10,
+    # so the same sign at both ends does not rule crossings out
+    x, rising = affine_piece(F(1), F(0)), linfrac(F(2), F(-1, 5), F(1), F(1))
+    with pytest.raises(ExactnessError):
+        _min_gap_sup(x, rising, F(1, 10), F(9, 10))
 
 
 def tensor_reaches(T, phi, psi, m):

@@ -19,7 +19,7 @@ from qflat.oracle import (
     random_tnorm,
     random_upper,
 )
-from qflat.order import principal_lower, principal_upper, restricted_cap
+from qflat.order import principal_lower, principal_upper, restricted_cap, tensor
 from qflat.pwfn import (
     LinFrac,
     _with_level,
@@ -28,6 +28,7 @@ from qflat.pwfn import (
     crossings,
     gap_probes,
     linfrac,
+    merged,
     parse_pwfn_body,
     pointwise_max,
     pointwise_min,
@@ -223,6 +224,74 @@ class TestConstantOperand:
                 restricted_cap(phi, s)
             _separating_pair(T, phi, c, *witness_upper_pair(T, phi, c))
             pointwise_min(PwFn.constant(phi.eval(c)), principal_upper(T, c))
+
+
+def non_constant_pairs(seed):
+    """Pairs of non-constant functions on a common domain: seeded lower,
+    upper and arbitrary functions, flats, F2/F3 mutants and principals, and
+    their restrictions to each summand frame."""
+    rng = random.Random(seed)
+    T = (random_tnorm, tnorm_over_997)[seed % 2](rng)
+    fs = [random_lower(T, rng), random_upper(T, rng), random_pwfn(rng), random_pwfn(rng)]
+    fs += flat_candidates(T, rng, 2)
+    fs += [g for g in (mutated_flat(T, rng, rule) for rule in ("F2", "F3")) if g is not None]
+    fs += [principal_lower(T, random_rat(rng)), principal_upper(T, random_rat(rng))]
+    groups = [fs] + [[f.restrict(s.lo, s.hi) for f in fs[:4]] for s in T.summands]
+    for group in groups:
+        group = [f for f in group if len(f.pieces) > 1 or not f.pieces[0].is_const]
+        yield from ((f, g) for i, f in enumerate(group) for g in group[:i])
+
+
+def test_general_route_matches_the_refined_route(monkeypatch):
+    """min and max of two non-constant operands, in both orders, are the
+    PwFn the route that refines both operands builds, and refuse exactly
+    when it does; some gaps skip the crossing search and some find one."""
+    pw = importlib.import_module("qflat.pwfn")
+    searches = []
+    monkeypatch.setattr(pw, "crossings", lambda *a: searches.append(crossings(*a)) or searches[-1])
+    # x and (2x - 2/9)/(x + 1) rise together on [1/9, 1] and cross at 1/3
+    # and 2/3: the same sign at both ends does not rule crossings out
+    x = PwFn.from_points([(F(1, 9), F(1, 9)), (F(1), F(1))])
+    ends = [Breakpoint(F(1, 9), F(0), F(0), F(0)), Breakpoint(F(1), F(8, 9), F(8, 9), F(8, 9))]
+    rising = pwfn(ends, [linfrac(F(2), F(-2, 9), F(1), F(1))])
+    pairs = [(x, rising)] + [pair for seed in range(12) for pair in non_constant_pairs(seed)]
+    seen = Counter()
+    for f, g in pairs:
+        for a, b in ((f, g), (g, f)):
+            for pick, op in ((min, pointwise_min), (max, pointwise_max)):
+                searches.clear()
+                try:
+                    want = general_pointwise(a, b, pick)
+                except ExactnessError:
+                    with pytest.raises(ExactnessError):
+                        op(a, b)
+                    seen["refusal"] += 1
+                    continue
+                assert op(a, b) == want, (a, b, pick)
+                seen["skip"] += len(merged(a, b)[1]) - len(searches)
+                seen["search"] += len(searches)
+                seen["crossing"] += sum(map(bool, searches))
+    assert len(seen) == 4 and min(seen.values()) > 0, seen
+
+
+def test_callers_refine_nothing(monkeypatch):
+    """tensor, the separation test and min/max of non-constant operands work
+    on one merged pass of their operands and refine neither."""
+    rng = random.Random(17)
+    families = []
+    for _ in range(12):
+        T = random_tnorm(rng)
+        families.append((T, random_lower(T, rng), random_upper(T, rng), random_rat(rng)))
+
+    def refine(*args):
+        raise AssertionError("an operand was refined")
+
+    monkeypatch.setattr(PwFn, "refine", refine)
+    for T, phi, psi, c in families:
+        tensor(T, phi, psi)
+        _separating_pair(T, phi, c, psi, principal_upper(T, c))
+        for op in (pointwise_min, pointwise_max):
+            op(phi, principal_upper(T, c))
 
 
 def trusted_outputs(draw, seed):
