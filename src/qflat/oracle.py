@@ -56,18 +56,27 @@ class GridSpec:
     def points(
         self, T: Optional[OrdinalSumTNorm] = None, f: Optional[PwFn] = None
     ) -> list[Rat]:
-        pts = {Fraction(k, self.resolution) for k in range(self.resolution + 1)}
-        if T is not None:
-            pts.update(T.idempotent_levels())
-        if f is not None:
-            xs = f.positions()
-            pts.update(xs)
-            for i, x in enumerate(xs):
-                if i > 0:
-                    pts.add(x - (x - xs[i - 1]) / 8)
-                if i + 1 < len(xs):
-                    pts.add(x + (xs[i + 1] - x) / 8)
-        return sorted(pts)
+        D, P = self.scaled(T, f)
+        return [Fraction(p, D) for p in P]
+
+    def scaled(
+        self, T: Optional[OrdinalSumTNorm] = None, f: Optional[PwFn] = None
+    ) -> tuple[int, list[int]]:
+        """(D, P), the ascending ``points`` times D, on integers.  D is the
+        lcm of n, the summand-end denominators and 8 times each breakpoint
+        denominator, so every scaled breakpoint is a multiple of 8 and each
+        probe, an eighth of a gap away from one, is an exact integer."""
+        n = self.resolution
+        ends = T.idempotent_levels() if T is not None else []
+        xs = f.positions() if f is not None else []
+        D = math.lcm(n, *(e.denominator for e in ends), *(8 * x.denominator for x in xs))
+        X = [x.numerator * (D // x.denominator) for x in xs]
+        pts = set(range(0, D + 1, D // n))
+        pts.update(e.numerator * (D // e.denominator) for e in ends)
+        pts.update(X)
+        pts.update(b - (b - a) // 8 for a, b in zip(X, X[1:]))
+        pts.update(a + (b - a) // 8 for a, b in zip(X, X[1:]))
+        return D, sorted(pts)
 
 
 @dataclass(frozen=True)
@@ -290,8 +299,17 @@ def falsify_lower_set(T: OrdinalSumTNorm, phi: PwFn, grid: GridSpec) -> CheckRep
     holding x.  For y > hi no summand holds both x and y, so y -> x = x and
     the lhs is conj(phi(x), x) on that part of the row; phi(y) is least at
     y = 1, so a pair there fails only if (x, 1) does, and the part is
-    scanned only then.  The scan keeps pair order, so the first violation
-    and its witness are those of the scan over every pair.
+    scanned only then.  For x < y <= hi, r = y -> x is hi - y + x
+    (Lukasiewicz) or lo + (hi - lo)(x - lo)/(y - lo) (product), in [lo, hi),
+    so the summand of (phi(x), r) follows from phi(x) alone.  If phi(x) <
+    lo the lhs is phi(x): the smaller argument, or the argument of a summand
+    ending at r = lo, whose top is its unit.  Else it is conj(c, r) with c =
+    min(phi(x), hi), since conj(a, r) = r = conj(hi, r) for a > hi: max(lo,
+    c + x - y) or lo + (c - lo)(x - lo)/(y - lo).  So the pair fails iff
+    c + x - y > phi(y) or lo > phi(y) (Lukasiewicz), or (c - lo)(x - lo) >
+    (phi(y) - lo)(y - lo) (product), one comparison of integers scaled by
+    D.  The scan keeps pair order, so the first violation and its witness
+    are those of the scan over every pair.
     """
     return _falsify_pairs(T, phi, grid, True)
 
@@ -304,41 +322,71 @@ def falsify_upper_set(T: OrdinalSumTNorm, psi: PwFn, grid: GridSpec) -> CheckRep
     y < lo no summand holds both x and y, nor 1 and y, so x -> y = y =
     1 -> y; conj is monotone and psi(x) <= psi(1), so the pair fails only
     if (1, y) fails.  Row 1 comes first and is scanned in full; any later
-    row scans only y in [lo, x).  The first violation and its witness are
-    those of the scan over every pair.
+    row scans only y in [lo, x).  There r = x -> y is hi - x + y or lo +
+    (hi - lo)(y - lo)/(x - lo), in [lo, hi), so, as for lower sets, the lhs
+    is psi(x) if psi(x) < lo and else, with c = min(psi(x), hi), max(lo, c
+    - x + y) or lo + (c - lo)(y - lo)/(x - lo): the pair fails iff c - x +
+    y > psi(y) or lo > psi(y), or (c - lo)(y - lo) > (psi(y) - lo)(x - lo).
+    The first violation and its witness are those of the scan over every
+    pair.
     """
     return _falsify_pairs(T, psi, grid, False)
 
 
 def _falsify_pairs(T: OrdinalSumTNorm, f: PwFn, grid: GridSpec, lower: bool) -> CheckReport:
-    """The monotone part, then the rows that the falsifier docstrings split."""
+    """The monotone part, then the rows that the falsifier docstrings split:
+    pairs within the summand of x by :func:`_summand_row`, the rest by the
+    scaled ``conj``/``res``, which also give the witness lhs."""
     pts = grid.points(T, f)
     vals = _grid_values(f, pts)
+    D, P, V, E, conj, res = scaled_pair_ops(T, pts, vals)
     n = len(pts)
     for i in range(n - 1):
-        if (vals[i] < vals[i + 1]) if lower else (vals[i] > vals[i + 1]):
+        if (V[i] < V[i + 1]) if lower else (V[i] > V[i + 1]):
             a, b = (i + 1, i) if lower else (i, i + 1)
             wit = PairWitness(pts[a], pts[b], vals[a], vals[b], vals[a], vals[b], "<=")
             return violated("DEF", wit, detail="definitional falsifier (monotone part)")
-    D, P, V, E, conj, res = scaled_pair_ops(T, pts, vals)
+    luk = [s.kind is SummandKind.LUKASIEWICZ for s in T.summands]
     for ix in range(n) if lower else range(n - 1, -1, -1):
         x, fx = P[ix], V[ix]
         if lower:
             j = bisect.bisect_right(E, x)  # odd iff E[j - 1] <= x < E[j], a summand
             stop = bisect.bisect_right(P, E[j]) if j % 2 else ix + 1
             num, den = conj(fx, x, 1)  # every pair past the summand, y -> x = x
-            ys = range(ix + 1, n if num > V[-1] * den else stop)
+            within, rest = range(ix + 1, stop), range(stop, n if num > V[-1] * den else stop)
         else:
             j = bisect.bisect_left(E, x)  # odd iff E[j - 1] < x <= E[j], a summand
             start = bisect.bisect_left(P, E[j - 1]) if j % 2 else ix
-            ys = range(0 if ix == n - 1 else start, ix)
-        for iy in ys:
+            within, rest = (range(0), range(ix)) if ix == n - 1 else (range(start, ix), range(0))
+        hit = _summand_row(P, V, within, x, fx, E[j - 1], E[j], luk[j // 2], lower) if within else None
+        for iy in rest if hit is None else ():
             num, den = conj(fx, *(res(P[iy], x) if lower else res(x, P[iy])))
             if num > V[iy] * den:
-                lhs = Fraction(num, den * D)
-                wit = PairWitness(pts[ix], pts[iy], vals[ix], vals[iy], lhs, vals[iy], "<=")
-                return violated("DEF", wit, detail=f"definitional falsifier, grid n={grid.resolution}")
+                hit = iy
+                break
+        if hit is not None:
+            num, den = conj(fx, *(res(P[hit], x) if lower else res(x, P[hit])))
+            wit = PairWitness(pts[ix], pts[hit], vals[ix], vals[hit], Fraction(num, den * D), vals[hit], "<=")
+            return violated("DEF", wit, detail=f"definitional falsifier, grid n={grid.resolution}")
     return CheckReport(True, detail=f"no counterexample among {n}^2 sampled pairs")
+
+
+def _summand_row(
+    P: list[int], V: list[int], ys: range, x: int, fx: int, lo: int, hi: int, luk: bool, lower: bool
+) -> Optional[int]:
+    """The first iy in ``ys`` whose pair with x fails, x and every P[iy] lying
+    in the summand [lo, hi]: the closed forms of the falsifier docstrings."""
+    if fx < lo:
+        return next((iy for iy in ys if V[iy] < fx), None)
+    c = min(fx, hi)
+    cx, cl, xl = (c + x if lower else c - x), c - lo, x - lo
+    if luk and lower:
+        return next((iy for iy in ys if V[iy] < lo or V[iy] + P[iy] < cx), None)
+    if luk:
+        return next((iy for iy in ys if V[iy] < lo or V[iy] - P[iy] < cx), None)
+    if lower:
+        return next((iy for iy in ys if (V[iy] - lo) * (P[iy] - lo) < cl * xl), None)
+    return next((iy for iy in ys if (V[iy] - lo) * xl < cl * (P[iy] - lo)), None)
 
 
 def falsify_flat(T: OrdinalSumTNorm, phi: PwFn, cfg: TrialConfig) -> CheckReport:

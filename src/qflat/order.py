@@ -116,33 +116,15 @@ def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
 
 
 def principal_upper(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
-    """The principal upper set y -> d_L(x0, y), built exactly."""
+    """The principal upper set y -> d_L(x0, y), built exactly: y up to the
+    summand (lo, hi] holding x0, the summand's x0 -> y on [lo, x0), then 1."""
     x0 = Rat(ensure_unit(x0, "principal point"))
     if x0 == ZERO:
         return PwFn.constant(ONE)
     s = next((s for s in T.summands if s.lo < x0 <= s.hi), None)
-    pts: list[Breakpoint] = []
-    pcs: list[LinFrac] = []
     if s is None:
-        pts.append(Breakpoint(ZERO, ZERO, ZERO, ZERO))
-        pcs.append(affine_piece(ONE, ZERO))
-        pts.append(Breakpoint(x0, x0, ONE, ONE))
-    else:
-        lo = s.lo
-        piece = upper_piece(s, x0)
-        if lo > 0:
-            pts.append(Breakpoint(ZERO, ZERO, ZERO, ZERO))
-            pcs.append(affine_piece(ONE, ZERO))
-            pts.append(Breakpoint(lo, lo, piece(lo), piece(lo)))
-        else:
-            v0 = piece(ZERO)
-            pts.append(Breakpoint(ZERO, v0, v0, v0))
-        pcs.append(piece)
-        pts.append(Breakpoint(x0, piece(x0), ONE, ONE))
-    if x0 < ONE:
-        pcs.append(const_piece(ONE))
-        pts.append(Breakpoint(ONE, ONE, ONE, ONE))
-    return pwfn(pts, pcs)
+        return PwFn.upper_profile(ZERO, affine_piece(ONE, ZERO), x0)
+    return PwFn.upper_profile(s.lo, upper_piece(s, x0), x0)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,27 @@ class PwFn:
     def constant(k: Rat, lo: Rat = ZERO, hi: Rat = ONE) -> "PwFn":
         k = Rat(ensure_unit(k, "constant value"))
         lo, hi = (Rat(ensure_unit(v, "domain endpoint")) for v in (lo, hi))
-        return pwfn([Breakpoint(lo, k, k, k), Breakpoint(hi, k, k, k)], [const_piece(k)])
+        if lo >= hi:
+            raise DomainError("breakpoint positions must be strictly increasing")
+        return _canon([Breakpoint(lo, k, k, k), Breakpoint(hi, k, k, k)], [const_piece(k)])
+
+    @staticmethod
+    def upper_profile(lo: Rat, piece: LinFrac, x0: Rat) -> "PwFn":
+        """The identity on [0, lo), the affine ``piece`` on [lo, x0) and 1 on
+        [x0, 1], for 0 <= lo < x0 <= 1: the shape of a principal upper set.
+        An affine piece is monotone, so its two end values are the only ones
+        checked, not every value as by pwfn()."""
+        if not (ZERO <= lo < x0 <= ONE and piece.is_affine):
+            raise DomainError("an upper profile needs 0 <= lo < x0 <= 1 and an affine piece")
+        a, b = (ensure_unit(piece(x), "profile value") for x in (lo, x0))
+        pts = [Breakpoint(ZERO, ZERO, ZERO, ZERO)] if lo > 0 else []
+        pcs = [affine_piece(ONE, ZERO)] if lo > 0 else []
+        pts += [Breakpoint(lo, lo if lo > 0 else a, a, a), Breakpoint(x0, b, ONE, ONE)]
+        pcs.append(piece)
+        if x0 < ONE:
+            pts.append(Breakpoint(ONE, ONE, ONE, ONE))
+            pcs.append(const_piece(ONE))
+        return _canon(pts, pcs)
 
     @staticmethod
     def identity() -> "PwFn":
@@ -416,8 +436,9 @@ def pwfn(
 
 def _canon(pts: list[Breakpoint], pcs: list[LinFrac]) -> PwFn:
     """The PwFn of valid breakpoints and pieces, with every breakpoint that
-    neither jumps nor changes the piece merged away.  Slices, level caps and
-    min/max of validated functions, valid by construction, skip pwfn() for it."""
+    neither jumps nor changes the piece merged away.  Constants, upper
+    profiles, slices, level caps and min/max of validated functions, valid
+    by construction, skip pwfn() for it."""
     for i in range(len(pts) - 2, 0, -1):  # right to left: no index left to visit moves
         bp = pts[i]
         if bp.left == bp.at == bp.right and pcs[i - 1] == pcs[i]:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, pwfn
+from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, make_tnorm, pwfn
 from qflat.ideal import check_flat
 from qflat.oracle import (
     GridSpec,
@@ -361,7 +361,7 @@ def _region(T, x, y, lower):
 def _kernel_matches_definition(T, f, grid, lower, regions=None):
     """Every grid pair, recomputed with T.conj/T.residuum.
 
-    Returns the falsifier's verdict after checking that the kernel's value
+    Returns the falsifier's report after checking that the kernel's value
     of each pair equals the definitional one, that a violation's witness
     lhs is that exact Fraction, and that the first definitional violation
     in pair order is the one reported.  ``regions`` counts the violating
@@ -401,7 +401,7 @@ def _kernel_matches_definition(T, f, grid, lower, regions=None):
         assert rep.holds == (first is None)
         if first is not None:
             assert (w.a, w.b, w.lhs) == first
-    return rep.holds
+    return rep
 
 
 def mesh_fn(rng, T, increasing, step):
@@ -410,6 +410,23 @@ def mesh_fn(rng, T, increasing, step):
     xs, vals = _monotone_mesh(rng, T, increasing)
     if not step:
         return PwFn.from_points(list(zip(xs, vals)))
+    bps = []
+    for i, (x, v) in enumerate(zip(xs, vals)):
+        left = vals[i - 1] if i and rng.random() < 0.5 else v
+        bps.append(Breakpoint(x, left, v, v))
+    return pwfn(bps)
+
+
+def near_ends_fn(rng, T, lower):
+    """A monotone step function, non-increasing if ``lower``, whose
+    breakpoints and values lie within 1/24 of T's summand ends."""
+    ends = T.idempotent_levels() or [F(1, 2)]
+
+    def near(lo, hi):
+        return min(max(rng.choice(ends) + F(rng.randint(lo, hi), 48), ZERO), ONE)
+
+    xs = sorted({ZERO, ONE} | {near(0, 2) for _ in range(3)})
+    vals = sorted((near(-2, 2) for _ in xs), reverse=lower)
     bps = []
     for i, (x, v) in enumerate(zip(xs, vals)):
         left = vals[i - 1] if i and rng.random() < 0.5 else v
@@ -433,7 +450,36 @@ class TestConfigTypes:
             TrialConfig(0)
 
 
+def fraction_points(n, T, f):
+    """Reference: the grid as a sorted set of Fractions, probes by division."""
+    pts = {F(k, n) for k in range(n + 1)}
+    if T is not None:
+        pts.update(T.idempotent_levels())
+    if f is not None:
+        xs = f.positions()
+        pts.update(xs)
+        for i, x in enumerate(xs):
+            if i > 0:
+                pts.add(x - (x - xs[i - 1]) / 8)
+            if i + 1 < len(xs):
+                pts.add(x + (xs[i + 1] - x) / 8)
+    return sorted(pts)
+
+
 class TestGridKernel:
+    def test_points_match_the_fraction_construction(self):
+        rng = random.Random(13)
+        for trial in range(24):
+            T = (random_tnorm, tnorm_over_997, lambda rng: None)[trial % 3](rng)
+            U = T or GODEL
+            fs = [None, random_lower(U, rng), random_upper(U, rng), random_pwfn(rng)]
+            fs.append(random_pwfn(rng).restrict(F(1, 7), F(5, 6)))
+            for n in [*range(1, 14), 64, 128]:
+                for f in fs:
+                    pts = GridSpec(n).points(T, f)
+                    assert pts == fraction_points(n, T, f)
+                    assert all(type(p) is F for p in pts)
+
     @pytest.mark.parametrize("resolution", [16, 32, 64])
     def test_matches_definition(self, resolution):
         rng = random.Random(resolution)
@@ -446,7 +492,7 @@ class TestGridKernel:
                 else:
                     f = (random_lower if lower else random_upper)(T, rng)
                 grid = GridSpec(resolution)
-                verdicts.add(_kernel_matches_definition(T, f, grid, lower))
+                verdicts.add(_kernel_matches_definition(T, f, grid, lower).holds)
         assert verdicts == {True, False}
 
     def test_split_rows_keep_every_witness(self):
@@ -462,10 +508,41 @@ class TestGridKernel:
             lower = trial % 4 < 2
             f = mesh_fn(rng, T, not lower, step=trial % 3 == 0)
             grid = GridSpec(6 + trial % 7)
-            verdicts[_kernel_matches_definition(T, f, grid, lower, regions)] += 1
+            verdicts[_kernel_matches_definition(T, f, grid, lower, regions).holds] += 1
         for region in ("lower within", "lower past", "upper at 1 below", "upper within"):
             assert regions[region] > 0, regions
         assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_every_summand_row_case_reports_its_first_violation(self):
+        """A row within the summand [lo, hi] of x takes one closed form per
+        direction, kind and place of f(x): below lo, in [lo, hi] or above hi.
+        Step functions near the summand ends reach each case as a first
+        violation, and each report is the first definitional pair.  An upper
+        row never does with f(x) < lo: there row 1 fails first, as conj(y,
+        f(1)) >= conj(y, f(x)) = f(x) > f(y).  The hand-made case fails only
+        through the Lukasiewicz floor lo > f(y)."""
+        q, r = F(1, 4), F(7, 32)
+        floor_only = pwfn([Breakpoint(0, q, q, q), Breakpoint(q, q, q, r), Breakpoint(1, r, r, r)])
+        luk = make_tnorm([(q, F(1, 2), "lukasiewicz")])
+        w = _kernel_matches_definition(luk, floor_only, GridSpec(4), True).witness
+        assert (w.a, w.b) == (q, F(11, 32))
+        rng = random.Random(22)
+        cases = Counter()
+        for trial in range(600):
+            T = random_tnorm(rng) if trial % 2 else tnorm_over_997(rng)
+            lower = trial % 4 < 2
+            rep = _kernel_matches_definition(T, near_ends_fn(rng, T, lower), GridSpec(2 + trial % 5), lower)
+            w = rep.witness
+            if rep.holds or "monotone" in rep.detail or (not lower and w.a == ONE):
+                continue
+            s = _summand_holding(T, w.a, lower)
+            if s is not None and (w.b <= s.hi if lower else w.b >= s.lo):
+                at = "below" if w.value_a < s.lo else "above" if w.value_a > s.hi else "in"
+                cases[lower, s.kind, at] += 1
+        for lower in (True, False):
+            for kind in SummandKind:
+                assert cases[lower, kind, "in"] * cases[lower, kind, "above"] > 0, cases
+                assert (cases[lower, kind, "below"] > 0) == lower, cases
 
     @pytest.mark.parametrize("falsify", [falsify_lower_set, falsify_upper_set])
     def test_point_off_the_domain_is_named(self, falsify):

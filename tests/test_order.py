@@ -53,7 +53,7 @@ from qflat.pwfn import (
     pointwise_max,
     pointwise_min,
 )
-from qflat.rat import ExactnessError, fmt_rat
+from qflat.rat import DomainError, ExactnessError, fmt_rat
 from qflat.report import PairWitness, PointWitness, violated
 from qflat.tnorms import OrdinalSumTNorm, SummandKind
 
@@ -123,6 +123,27 @@ class TestPrincipalSets:
                 x0 = F(rng.randint(0, 20), 20)
                 assert check_lower_set(T, principal_lower(T, x0)).holds
                 assert check_upper_set(T, principal_upper(T, x0)).holds
+
+    def test_unvalidated_builds_match_the_pwfn_route(self, families):
+        """principal_upper and PwFn.constant skip pwfn(); rebuilt by pwfn()
+        from their breakpoints alone, chords through every value, they come
+        out the same, and principal_upper takes the residuum's values."""
+        rng = random.Random(45)
+        xs = [F(0), F(1)] + [random_rat(rng) for _ in range(12)]
+        for T in families + [tnorm_over_997(rng) for _ in range(4)]:
+            for x0 in xs:
+                up = principal_upper(T, x0)
+                assert pwfn(up.breakpoints) == up
+                assert all(up.eval(y) == T.residuum(x0, y) for y in xs)
+        for k in xs:
+            for lo, hi in ((F(0), F(1)), (F(1, 4), F(1, 2))):
+                assert PwFn.constant(k, lo, hi) == pwfn([Breakpoint(lo, k, k, k), Breakpoint(hi, k, k, k)])
+        with pytest.raises(DomainError, match="strictly increasing"):
+            PwFn.constant(F(1, 3), F(1, 2), F(1, 2))
+        with pytest.raises(DomainError, match="upper profile"):
+            PwFn.upper_profile(F(1, 2), affine_piece(F(1), F(0)), F(1, 4))
+        with pytest.raises(DomainError, match="profile value"):
+            PwFn.upper_profile(F(0), affine_piece(F(2), F(0)), F(3, 4))
 
 
 class TestTensor:
