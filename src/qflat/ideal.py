@@ -8,8 +8,9 @@ themselves idempotent (F2), and the capped restriction to every active
 summand frame is a principal ideal of that frame (F3).  Violations of F2
 and F3 come with a concrete pair of upper sets separating the two sides
 of the flatness identity, with all three tensor values computed exactly,
-whenever phi(0) = 1, as in every check_flat result; flat_conditions may
-fall back to a point witness when phi(0) < 1.
+whenever phi(0) = 1, as in every check_flat result: one joint walk checks
+a point built by the proof.  For phi(0) < 1, only in flat_conditions, F3
+searches difference points and may fall back to a point witness.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .order import (
     _lower_set,
     _min_gap_sup,
     hull_walk,
+    lower_piece,
     lower_profile,
     principal_lower,
     principal_upper,
@@ -224,11 +226,9 @@ def _check_f3(T: OrdinalSumTNorm, phi: PwFn, caps: dict[Summand, PwFn]) -> Check
         target = frame_principal_lower(T, s, b)
         if sigma == target:
             continue
-        cands = _difference_points(sigma, target)
-        detail = (
-            f"restriction to ({fmt_rat(s.lo)}, {fmt_rat(s.hi)}) is not the"
-            f" frame-principal ideal at {fmt_rat(b)}"
-        )
+        cands = [_f3_point(s, sigma, target)] if phi(ZERO) == ONE else _difference_points(sigma, target)
+        detail = f"restriction to ({fmt_rat(s.lo)}, {fmt_rat(s.hi)}) is not the"
+        detail += f" frame-principal ideal at {fmt_rat(b)}"
         values = (("sigma", sigma.eval(cands[0])), ("principal", target.eval(cands[0])))
         return _flat_violation("F3", T, phi, cands, values, detail)
     return HOLDS
@@ -242,6 +242,30 @@ def _difference_points(f: PwFn, g: PwFn) -> list[Rat]:
     # pwfn() rejects a piece that disagrees with its stored one-sided limits
     assert out, "equal values and pieces on a common refinement mean f == g"
     return sorted(set(out))
+
+
+def _f3_point(s: Summand, sigma: PwFn, target: PwFn) -> Rat:
+    """The first F3 difference point on the frame [a, h] of s whose canonical
+    pair separates when phi(0) = 1 (S and v as in _verified_pair_witness).
+    phi >= a there (L3), x < a adds at most a to S, and sigma = min(phi, h)
+    may stand for phi on [a, c).  In frame coordinates sigma is a lower set
+    of Lukasiewicz or product below tau = d(-, beta), beta = sigma(1).  If
+    sigma(0) < 1, a separates: v = phi(a) lies in (a, h) and S <= a.  Else
+    let x1 = max{sigma = 1} and g = sigma + id or sigma * id; g rises, and is
+    continuous as sigma falls.  sigma = tau off (x1, e'), e' = min{g = g(1)},
+    and 0 < v < 1 there.  A term of S is min(sigma(x) * v, G(g(x))), G rising
+    through v at g(c), so the pair fails iff g(c) = g(x1): on (x1, e], e =
+    max{g = g(x1)} < e'.  On the piece from x1, g is constant if sigma is
+    d(-, x1) there and else rises strictly, and the next piece differs, so e
+    ends that piece or e = x1 (as when sigma jumps at x1 = 0 under product).
+    sigma changes piece at e and e', so the merged gap from e lies in (e, e'):
+    its midpoint separates, and each earlier difference point fails."""
+    bps = sigma.breakpoints
+    if bps[0].at < s.hi:
+        return s.lo
+    i = max(k for k, bp in enumerate(bps) if bp.at == s.hi)
+    e = bps[i + 1].x if sigma.pieces[i] == lower_piece(s, bps[i].x) else bps[i].x
+    return (e + min(x for x in (*sigma.positions(), *target.positions()) if x > e)) / 2
 
 
 def pasted_flat(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
@@ -266,13 +290,8 @@ def _canonical_pair(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> tuple:
 
 
 def _separating_pair(
-    T: OrdinalSumTNorm,
-    phi: PwFn,
-    c: Optional[Rat],
-    psi1: PwFn,
-    psi2: PwFn,
-    t1: Optional[Rat] = None,
-    t2: Optional[Rat] = None,
+    T: OrdinalSumTNorm, phi: PwFn, c: Optional[Rat], psi1: PwFn, psi2: PwFn,
+    t1: Optional[Rat] = None, t2: Optional[Rat] = None,
 ) -> Optional[TensorWitness]:
     """The witness when tensor(phi, psi1 ^ psi2) < min(t1, t2), a single tensor
     not given being computed in full.  conj is monotone, so the joint never
@@ -290,32 +309,13 @@ def _verified_pair_witness(
     T: OrdinalSumTNorm, phi: PwFn, candidates: list[Rat]
 ) -> Optional[TensorWitness]:
     """The first separating canonical pair of the first 12 candidates, or None.
-
-    For a lower set with phi(0) = 1 a candidate of _check_f2 or _check_f3
-    separates.  At c, v = phi(c) is both single tensors; the joint is at most
-    conj(v, v) on x >= c and S = sup_{x<c} conj(phi(x), min(v, c->x)) below,
-    so the pair separates iff v is not idempotent and S < v.
-    F2: v >= c+ is not idempotent, so v > c+ >= S as c->x < c+ for x < c.
-    F3 on the frame [a, b] of a summand with phi(a) > a: phi >= a there
-    (L3), x < a adds at most a to S, and sigma = min(phi, b) may stand for
-    phi on [a, c).  In frame coordinates sigma is a lower set of
-    Lukasiewicz or product below tau = d(-, beta), beta = sigma(1).  If
-    sigma(0) < 1, candidates[0] = a separates: phi(a) lies in (a, b) and
-    S <= a.  Else let x1 = max{sigma = 1} and g = sigma + id (Lukasiewicz)
-    or sigma * id (product); sigma falls and g rises, so g is continuous.
-    sigma = tau off (x1, e'), e' = min{g = g(1)}, so the candidates lie
-    there, with 0 < v < 1.  A term of S is min(sigma(x) * v, G(g(x))), G
-    rising through v at g(c), so the pair fails iff g(c) = g(x1): on
-    (x1, e], e = max{g = g(x1)} < e'.  The pieces of sigma change at e and
-    e', so the refinement gap starting at e lies in (e, e') and its
-    midpoint separates; sigma is one piece on [x1, e] and tau breaks only
-    at beta, so at most four candidates come before it.
-    """
-    for c in candidates[:12]:
-        wit = _separating_pair(T, phi, *_canonical_pair(T, phi, c))
-        if wit is not None:
-            return wit
-    return None
+    For phi(0) = 1, v = phi(c) is both single tensors and the joint is
+    max(conj(v, v), S), S = sup_{x<c} conj(phi(x), min(v, c->x)): the pair
+    separates iff v is not idempotent and S < v.  F2's one c does: v is not
+    idempotent, so v > c+ >= S as c->x < c+ for x < c.  F3 passes the point
+    of :func:`_f3_point`; only phi(0) < 1 makes a search."""
+    pairs = (_separating_pair(T, phi, *_canonical_pair(T, phi, c)) for c in candidates[:12])
+    return next((wit for wit in pairs if wit is not None), None)
 
 
 # ---------------------------------------------------------------------------

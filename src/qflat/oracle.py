@@ -321,14 +321,14 @@ def falsify_upper_set(T: OrdinalSumTNorm, psi: PwFn, grid: GridSpec) -> CheckRep
     from x = 1 down.  In row x, let (lo, hi] be the summand holding x.  For
     y < lo no summand holds both x and y, nor 1 and y, so x -> y = y =
     1 -> y; conj is monotone and psi(x) <= psi(1), so the pair fails only
-    if (1, y) fails.  Row 1 comes first and is scanned in full; any later
-    row scans only y in [lo, x).  There r = x -> y is hi - x + y or lo +
-    (hi - lo)(y - lo)/(x - lo), in [lo, hi), so, as for lower sets, the lhs
-    is psi(x) if psi(x) < lo and else, with c = min(psi(x), hi), max(lo, c
-    - x + y) or lo + (c - lo)(y - lo)/(x - lo): the pair fails iff c - x +
-    y > psi(y) or lo > psi(y), or (c - lo)(y - lo) > (psi(y) - lo)(x - lo).
-    The first violation and its witness are those of the scan over every
-    pair.
+    if (1, y) fails.  Row 1 comes first and is scanned in full; a later row
+    scans y in [lo, x), and only if psi(x) >= lo.  There r = x -> y is in
+    [lo, hi), so, as for lower sets, with c = min(psi(x), hi) the pair fails
+    iff c - x + y > psi(y) or lo > psi(y), or (c - lo)(y - lo) > (psi(y) -
+    lo)(x - lo).  Neither psi(x) < lo nor lo > psi(y) is tested: (1, y)
+    fails first, as conj(y, psi(1)) >= conj(y, psi(x)) = psi(x) > psi(y) or
+    conj(y, psi(1)) >= conj(y, lo) = lo > psi(y).  The first violation and
+    its witness are those of the scan over every pair.
     """
     return _falsify_pairs(T, psi, grid, False)
 
@@ -356,7 +356,7 @@ def _falsify_pairs(T: OrdinalSumTNorm, f: PwFn, grid: GridSpec, lower: bool) -> 
             within, rest = range(ix + 1, stop), range(stop, n if num > V[-1] * den else stop)
         else:
             j = bisect.bisect_left(E, x)  # odd iff E[j - 1] < x <= E[j], a summand
-            start = bisect.bisect_left(P, E[j - 1]) if j % 2 else ix
+            start = bisect.bisect_left(P, E[j - 1]) if j % 2 and fx >= E[j - 1] else ix
             within, rest = (range(0), range(ix)) if ix == n - 1 else (range(start, ix), range(0))
         hit = _summand_row(P, V, within, x, fx, E[j - 1], E[j], luk[j // 2], lower) if within else None
         for iy in rest if hit is None else ():
@@ -383,7 +383,7 @@ def _summand_row(
     if luk and lower:
         return next((iy for iy in ys if V[iy] < lo or V[iy] + P[iy] < cx), None)
     if luk:
-        return next((iy for iy in ys if V[iy] < lo or V[iy] - P[iy] < cx), None)
+        return next((iy for iy in ys if V[iy] - P[iy] < cx), None)
     if lower:
         return next((iy for iy in ys if (V[iy] - lo) * (P[iy] - lo) < cl * xl), None)
     return next((iy for iy in ys if (V[iy] - lo) * xl < cl * (P[iy] - lo)), None)

@@ -278,8 +278,10 @@ def test_witness_search_stops_at_the_first_separating_pair(monkeypatch):
 
 def test_f3_witness_past_the_failing_candidates(monkeypatch):
     """phi = 1, 1/(4x), 1/2 on [0, 1/4], [1/4, 1/2], [1/2, 1] under PRODUCT.
-    g(x) = phi(x) * x is still g(1/4) = 1/4 at the candidates 3/8 and 1/2,
-    so their canonical pairs fail, and the pair at 3/4 separates."""
+    g(x) = phi(x) * x is still g(1/4) = 1/4 at the difference points 3/8
+    and 1/2, so their canonical pairs would fail.  sigma follows the frame
+    principal d(-, 1/4) up to e = 1/2, so the built point is the midpoint
+    3/4 of the gap from e, and its pair, the only one tried, separates."""
     q, half = F(1, 4), F(1, 2)
     pts = [Breakpoint(F(0), ONE, ONE, ONE), Breakpoint(q, ONE, ONE, ONE)]
     pts += [Breakpoint(half, half, half, half), Breakpoint(ONE, half, half, half)]
@@ -288,7 +290,7 @@ def test_f3_witness_past_the_failing_candidates(monkeypatch):
     calls = CountCalls(monkeypatch)
     rep = check_flat(PRODUCT, phi)
     assert rep.rule == "F3" and isinstance(rep.witness, TensorWitness)
-    assert (rep.witness.c, rep.witness.joint, calls.pairs) == (F(3, 4), F(1, 3), 3)
+    assert (rep.witness.c, rep.witness.joint, calls.pairs) == (F(3, 4), F(1, 3), 1)
 
 
 def test_witness_search_on_a_flat_builds_only_the_canonical_pairs(monkeypatch):

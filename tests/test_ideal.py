@@ -16,6 +16,7 @@ from qflat.ideal import (
     net_ideal,
     pasted_flat,
     restrict_ideal,
+    restricted_cap,
     tensor_via_k,
     witness_upper_pair,
 )
@@ -416,23 +417,12 @@ class TestKSet:
         assert grid_tensor(t4, phi, PwFn.constant(F(1))) == 1
 
 
-@pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
-def test_lattice_combinations_of_lower_sets_decide_exactly(draw):
-    """Pairwise min and max of principals, constants, random lower sets,
-    flats and the F1-F3 mutants, check_flat on them and their tensors with
-    random upper sets never raise ExactnessError: every crossing and
-    critical point stays rational."""
-    from qflat.oracle import (
-        flat_candidates,
-        mutated_flat,
-        random_lower,
-        random_rat,
-        random_tnorm,
-        random_upper,
-    )
+def lattice_pool(draw):
+    """(T, h, psi) for the pairwise min and max h of principals, constants,
+    random lower sets, flats and the F1-F3 mutants, psi a random upper set."""
+    from qflat.oracle import flat_candidates, mutated_flat, random_lower, random_upper
 
     rng = random.Random(61)
-    combos = 0
     for _ in range(30):
         T = random_tnorm(rng) if draw == "random_tnorm" else tnorm_over_997(rng)
         lowers = [principal_lower(T, random_rat(rng)), PwFn.constant(random_rat(rng))]
@@ -441,10 +431,81 @@ def test_lattice_combinations_of_lower_sets_decide_exactly(draw):
         lowers += [m for m in mutants if m is not None]
         for f, g in combinations(lowers, 2):
             for h in (pointwise_min(f, g), pointwise_max(f, g)):
-                check_flat(T, h)
-                tensor(T, h, random_upper(T, rng))
-                combos += 1
+                yield T, h, random_upper(T, rng)
+
+
+@pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
+def test_lattice_combinations_of_lower_sets_decide_exactly(draw):
+    """check_flat on the lattice pool and tensors with random upper sets
+    never raise ExactnessError: every crossing and critical point stays
+    rational."""
+    combos = 0
+    for T, h, psi in lattice_pool(draw):
+        check_flat(T, h)
+        tensor(T, h, psi)
+        combos += 1
     assert combos == {"random_tnorm": 1070, "tnorm_over_997": 1260}[draw]
+
+
+def f3_frame(T, phi):
+    """(s, sigma, target) on the first active frame where the capped
+    restriction is not the frame principal: the frame of an F3 report."""
+    for s in T.summands:
+        if phi(s.lo) > s.lo:
+            sigma = restricted_cap(phi, s)
+            target = frame_principal_lower(T, s, min(s.hi, phi(s.hi)))
+            if sigma != target:
+                return s, sigma, target
+
+
+def ascending_f3_witness(T, phi):
+    """The witness of the search over the first 12 difference points of the
+    F3 frame in ascending order, one canonical pair each."""
+    _, sigma, target = f3_frame(T, phi)
+    cands = ideal._difference_points(sigma, target)[:12]
+    pairs = (ideal._separating_pair(T, phi, *ideal._canonical_pair(T, phi, c)) for c in cands)
+    return next((wit for wit in pairs if wit is not None), None)
+
+
+def f3_branch(T, phi):
+    """Which case places the F3 point: sigma(a) < h, sigma equal to the frame
+    principal at x1 = max{sigma = h} right after x1, or not."""
+    s, sigma, _ = f3_frame(T, phi)
+    if sigma(s.lo) < s.hi:
+        return "lo"
+    x1 = max(x for x in sigma.positions() if sigma(x) == s.hi)
+    m = (x1 + min(x for x in sigma.positions() if x > x1)) / 2
+    return "piece end" if sigma(m) == frame_principal_lower(T, s, x1)(m) else "x1"
+
+
+@pytest.mark.parametrize("draw", ["random_tnorm", "tnorm_over_997"])
+def test_f3_point_is_the_first_separating_difference_point(draw, monkeypatch):
+    """For phi(0) = 1, check_flat and flat_conditions build the F3 point and
+    walk one pair for it: the witness is the one the ascending search over
+    every difference point finds first, in each of the three cases."""
+    pairs = Counter()
+    separating = ideal._separating_pair
+    monkeypatch.setattr(
+        ideal, "_separating_pair", lambda *a: pairs.update(["walk"]) or separating(*a)
+    )
+    branches = Counter()
+    for T, h, _ in lattice_pool(draw):
+        pairs.clear()
+        rep = check_flat(T, h)
+        if h(ZERO) < ONE or (rep.rule or "").startswith("L"):
+            continue
+        flat_walks = pairs.pop("walk", 0)
+        conds = flat_conditions(T, h)
+        if conds["F3"]:
+            continue
+        cond_walks = pairs.pop("walk", 0)
+        want = ascending_f3_witness(T, h)
+        assert isinstance(want, TensorWitness), T.describe()
+        assert (conds["F3"].witness, cond_walks) == (want, 1 + (not conds["F2"])), T.describe()
+        if rep.rule == "F3":
+            assert (rep.witness, flat_walks) == (want, 1), T.describe()
+        branches[f3_branch(T, h)] += 1
+    assert min(branches[k] for k in ("lo", "piece end", "x1")) > 0, branches
 
 
 def test_check_flat_walks_once_and_caps_each_frame_once(monkeypatch):
