@@ -453,14 +453,9 @@ def random_tnorm(rng: random.Random) -> OrdinalSumTNorm:
     if k >= 2 and rng.random() < 0.4:
         i = rng.randrange(1, k)
         pts[2 * i - 1] = pts[2 * i]
-    summands = []
-    for i in range(k):
-        lo, hi = pts[2 * i], pts[2 * i + 1]
-        if lo >= hi:
-            continue
-        kind = rng.choice((SummandKind.LUKASIEWICZ, SummandKind.PRODUCT))
-        summands.append((lo, hi, kind))
-    return make_tnorm(summands)
+    # distinct cuts, and neither the 0/1 ends nor the glue close a summand
+    kinds = (SummandKind.LUKASIEWICZ, SummandKind.PRODUCT)
+    return make_tnorm([(pts[2 * i], pts[2 * i + 1], rng.choice(kinds)) for i in range(k)])
 
 
 def random_pwfn(rng: random.Random) -> PwFn:
@@ -613,13 +608,11 @@ def _thicken_at_cut(
 ) -> Optional[PwFn]:
     if b == ZERO or b == ONE:
         return None
-    idx = next((i for i, bp in enumerate(base.breakpoints) if bp.x == b), None)
-    if idx is None or idx == 0:
-        return None
+    # principal_lower(T, b) keeps a breakpoint at every interior b, and its
+    # right limit there is b or the summand's hi: idempotent and <= left = 1
+    idx = next(i for i, bp in enumerate(base.breakpoints) if bp.x == b)
     bp = base.breakpoints[idx]
     choices = [c for c in {bp.right, T.idem_hull(b).hi} if T.is_idempotent(c) and bp.right <= c <= bp.left]
-    if not choices:
-        return None
     v = rng.choice(sorted(choices))
     pts = list(base.breakpoints)
     pts[idx] = Breakpoint(bp.x, bp.left, v, bp.right)

@@ -362,7 +362,7 @@ def _lukasiewicz_scan(sig: PwFn, sign: int) -> Optional[tuple[Rat, Rat]]:
         u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
         if piece.is_affine:
             if sign * piece.a > 1:
-                return u + (v - u) / 4, v - (v - u) / 4
+                return gap_probes(u, v)[1:]
         else:
             for anchor, other in ((u, v), (v, u)):
                 if sign * _mobius_deriv(piece, anchor) > 1:
@@ -485,23 +485,22 @@ def _floor_report(points: list, gaps: list, lower: bool) -> Optional[CheckReport
 def _frame_report(
     T: OrdinalSumTNorm, f: PwFn, s: Summand, lower: bool, caps: dict[Summand, PwFn]
 ) -> Optional[CheckReport]:
-    """L3 (lower set) or U3 (upper set) on summand s; a cap built goes to caps[s]."""
+    """L3 (lower set) or U3 (upper set) on summand s; a cap built goes to caps[s].
+
+    Run after L1 and L4 (lower) or U1 (upper), it needs no floor check: with
+    f(lo) >= lo, no value or one-sided limit of f on the frame is below lo.
+    An upper set rises from f(lo) (U1).  A lower set falls to f(1) (L1), and
+    hull_walk emits (lo, f(lo), lo, lo) at the summand bottom, so L4 has
+    already given f(1) >= lo.
+    """
     if lower:
-        rule, name, witness, basic = "L3", "phi", def_lower_witness, basic_lower_violation
+        rule, witness, basic = "L3", def_lower_witness, basic_lower_violation
     else:
-        rule, name, witness, basic = "U3", "psi", def_upper_witness, basic_upper_violation
+        rule, witness, basic = "U3", def_upper_witness, basic_upper_violation
     lo, hi = s.lo, s.hi
     if f.eval(lo) < lo:
         return None  # premise of the frame condition fails; nothing to check
-    window = f.restrict(lo, hi)
-    if window.global_inf().value < lo:
-        x = _point_below(window, lo)
-        return violated(
-            rule,
-            witness(T, f, lo, x),
-            detail=f"{name} drops below the frame floor {fmt_rat(lo)}",
-        )
-    caps[s] = restricted_cap(window, s)
+    caps[s] = restricted_cap(f, s)
     pair = basic(caps[s], s.kind)
     if pair is None:
         return None
@@ -510,19 +509,6 @@ def _frame_report(
         witness(T, f, *pair),
         detail=f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}",
     )
-
-
-def _point_below(window: PwFn, level: Rat) -> Rat:
-    """A real point of the window where the function is < level."""
-    for bp in window.breakpoints:
-        if bp.at < level:
-            return bp.x
-    for i, piece in enumerate(window.pieces):
-        left, right = window.breakpoints[i], window.breakpoints[i + 1]
-        for anchor, other, limit in ((left.x, right.x, left.right), (right.x, left.x, right.left)):
-            if limit < level:
-                return halve_toward(anchor, other, lambda t: piece(t) < level)
-    raise AssertionError("no point below level found")  # pragma: no cover
 
 
 def _lower_set(T: OrdinalSumTNorm, phi: PwFn) -> tuple[CheckReport, Optional[tuple], dict]:

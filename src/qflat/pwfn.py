@@ -142,8 +142,9 @@ def crossings(p: LinFrac, q: LinFrac, u: Rat, v: Rat) -> list[Rat]:
 
 
 def gap_probes(u: Rat, v: Rat) -> tuple[Rat, Rat, Rat]:
-    """Three distinct points of (u, v).  Two pieces that differ somewhere on
-    the gap agree at two points at most, so they differ at one of these."""
+    """Three distinct points of (u, v): the midpoint, then the quarter points,
+    a sorted pair inside the gap.  Two pieces that differ somewhere on the gap
+    agree at two points at most, so they differ at one of these."""
     return ((u + v) / 2, u + (v - u) / 4, u + 3 * (v - u) / 4)
 
 
@@ -282,32 +283,13 @@ class PwFn:
     # -- extrema -------------------------------------------------------------
 
     def global_sup(self) -> SupResult:
-        """Exact supremum over the domain, one-sided limits included."""
-        return self._extreme(max)
-
-    def global_inf(self) -> SupResult:
-        return self._extreme(min)
-
-    def _extreme(self, pick: Callable) -> SupResult:
-        best: Optional[Rat] = None
-        attained = False
-        for bp in self.breakpoints:
-            if best is None or pick(bp.at, best) == bp.at != best:
-                best, attained = bp.at, True
-            elif bp.at == best:
-                attained = True
-        for i, piece in enumerate(self.pieces):
-            lo_lim = self.breakpoints[i].right
-            hi_lim = self.breakpoints[i + 1].left
-            val = pick(lo_lim, hi_lim)
-            reach = lo_lim == hi_lim  # constant piece: value attained inside
-            assert best is not None
-            if pick(val, best) == val != best:
-                best, attained = val, reach
-            elif val == best:
-                attained = attained or reach
-        assert best is not None
-        return SupResult(best, attained)
+        """Exact supremum over the domain, one-sided limits included: the
+        largest breakpoint value or piece limit, attained when it is a
+        breakpoint's value or the value of a constant piece."""
+        bps = self.breakpoints
+        limits = [(u.right, v.left) for u, v in zip(bps, bps[1:])]
+        best = max(*(bp.at for bp in bps), *map(max, limits))
+        return SupResult(best, any(bp.at == best for bp in bps) or (best, best) in limits)
 
     # -- monotonicity ---------------------------------------------------------
 
@@ -322,9 +304,7 @@ class PwFn:
         for i, piece in enumerate(self.pieces):
             s = piece.deriv_sign()
             if s != 0 and s != want:
-                u, v = self.breakpoints[i].x, self.breakpoints[i + 1].x
-                step = (v - u) / 4
-                return u + step, v - step
+                return gap_probes(self.breakpoints[i].x, self.breakpoints[i + 1].x)[1:]
         for i, bp in enumerate(self.breakpoints):
             # a pair straddling the jump violates the direction when the
             # nearby value sits on the wrong side of the point value

@@ -5,7 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, DomainError, PwFn, ideal, pwfn
+from qflat import (
+    GODEL,
+    LUKASIEWICZ,
+    PRODUCT,
+    Breakpoint,
+    DomainError,
+    PwFn,
+    SummandKind,
+    ideal,
+    make_tnorm,
+    pwfn,
+)
 from qflat.ideal import (
     NetSpec,
     check_flat,
@@ -67,6 +78,29 @@ class TestCheckFlat:
         assert isinstance(rep.witness, TensorWitness)
         w = rep.witness
         assert w.joint < min(w.sep1, w.sep2)
+
+    def test_f2_on_a_piece_crossing_a_summand(self):
+        """F2 fires inside a non-constant piece: the chord 9/10 -> 3/5 over
+        (1/4, 3/10), a gap of the summand (1/5, 2/5), takes the non-idempotent
+        values of the summand (3/5, 9/10); c = 11/40 solves phi(c) = 3/4."""
+        L = SummandKind.LUKASIEWICZ
+        T = make_tnorm([(F(1, 5), F(2, 5), L), (F(3, 5), F(9, 10), L)])
+        tail = F(3, 5)
+        phi = pwfn(
+            [
+                Breakpoint(F(0), ONE, ONE, ONE),
+                Breakpoint(F(1, 4), ONE, ONE, F(9, 10)),
+                Breakpoint(F(3, 10), tail, tail, tail),
+                Breakpoint(ONE, tail, tail, tail),
+            ]
+        )
+        rep = check_flat(T, phi)
+        assert not rep.holds and rep.rule == "F2"
+        w = rep.witness
+        assert isinstance(w, TensorWitness)
+        assert (w.c, w.joint, w.sep1, w.sep2) == (F(11, 40), F(3, 5), F(3, 4), F(3, 4))
+        conds = flat_conditions(T, phi)
+        assert conds["F1"].holds and conds["F3"].holds and not conds["F2"].holds
 
     def test_constant_fails_f1(self, t4):
         rep = check_flat(t4, PwFn.constant(F(2, 5)))

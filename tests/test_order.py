@@ -791,8 +791,8 @@ def reference_upper_scan(g, kind):
 def reference_frame_report(T, f, s, lower):
     """L3/U3 with the basic scans run on [0,1] and the pair mapped back."""
     lo, hi = s.lo, s.hi
-    if f.eval(lo) < lo or f.restrict(lo, hi).global_inf().value < lo:
-        return _frame_report(T, f, s, lower, {})  # not a basic-case verdict
+    if f.eval(lo) < lo:
+        return None  # premise of the frame condition fails
     cap = pointwise_min(f.restrict(lo, hi), PwFn.constant(hi, lo, hi))
     scan = reference_lower_scan if lower else reference_upper_scan
     pair = scan(transported(cap, lo, hi), s.kind)
@@ -1058,6 +1058,40 @@ def test_checker_identity_hash():
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert len(rows) == 3110
     assert digest == "35d283148a6dda6b167fb8cdd8f6142d71f09afd804c8f88264730f6f9092ad8"
+
+
+def test_frames_never_see_a_value_below_their_floor(monkeypatch):
+    """L3/U3 check no floor: after L1 and L4 (lower) or U1 (upper), f(lo) >= lo
+    leaves every value and one-sided limit of f on the frame [lo, hi] at
+    lo or above.  Every frame that the checkers scan on the population of
+    test_checker_identity_hash bears this out."""
+    scanned = Counter()
+    frame_report = order_module._frame_report
+
+    def checked(T, f, s, lower, caps):
+        if f.eval(s.lo) >= s.lo:
+            window = f.restrict(s.lo, s.hi)
+            values = [v for bp in window.breakpoints for v in (bp.left, bp.at, bp.right)]
+            assert min(values) >= s.lo, (T.describe(), f, s)
+            scanned[s.kind, lower] += 1
+        return frame_report(T, f, s, lower, caps)
+
+    monkeypatch.setattr(order_module, "_frame_report", checked)
+    for seed in range(30):
+        for draw in (random_tnorm, tnorm_over_997):
+            rng = random.Random(seed)
+            T = draw(rng)
+            fs = hull_walk_inputs(T, rng) + [monotone_mesh(T, rng, up) for up in (False, True)]
+            for s, lower in ((s, lower) for s in T.summands for lower in (True, False)):
+                fs += frame_inputs(T, s, rng, lower)
+            for f in fs:
+                for check in (check_lower_set, check_upper_set):
+                    try:
+                        check(T, f)
+                    except ExactnessError:
+                        pass
+    L, P = SummandKind.LUKASIEWICZ, SummandKind.PRODUCT
+    assert scanned == {(L, True): 563, (P, True): 427, (L, False): 485, (P, False): 345}
 
 
 # -- the closed-form gap supremum against the polynomial route ----------------

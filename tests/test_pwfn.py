@@ -489,6 +489,38 @@ class TestTextFormat:
             parse_pwfn_body("g", ["point 0 : 1 1", "pt 1 : 0"])
 
 
+RAMP = [Breakpoint(F(0), F(0), F(0), F(0)), Breakpoint(F(1), F(1), F(1), F(1))]
+HALF = PwFn.constant(F(1, 2), F(0), F(1, 2))  # lives on [0, 1/2]
+
+INPUT_ERRORS = {
+    "one-breakpoint": (
+        lambda: pwfn(RAMP[:1]),
+        "a PwFn needs at least the two domain endpoints",
+    ),
+    "piece-count": (
+        lambda: pwfn(RAMP, [const_piece(F(0))] * 2),
+        "piece count must be breakpoint count - 1",
+    ),
+    "pole": (
+        lambda: pwfn(RAMP, [linfrac(F(0), F(1, 4), F(1), F(-1, 2))]),
+        "piece pole inside its gap",
+    ),
+    "piece-limits": (
+        lambda: pwfn(RAMP, [const_piece(F(1, 2))]),
+        "piece on (0, 1) disagrees with its one-sided endpoint values",
+    ),
+    "min-domains": (
+        lambda: pointwise_min(PwFn.identity(), HALF),
+        "pointwise operations need matching domains",
+    ),
+    "restrict": (
+        lambda: HALF.restrict(F(1, 4), F(3, 4)),
+        "restriction window not inside the domain",
+    ),
+    "side": (lambda: PwFn.identity().eval(F(1, 2), "left"), "unknown side 'left'"),
+}
+
+
 class TestValidation:
     def test_positions_strictly_increasing(self):
         with pytest.raises(DomainError):
@@ -509,6 +541,13 @@ class TestValidation:
             )
         with pytest.raises(DomainError, match="^value at 1 0.5 is not an exact rational$"):
             pwfn([Breakpoint(F(0), F(0), F(0), F(0)), Breakpoint(F(1), 0.5, 0.5, 0.5)])
+
+    @pytest.mark.parametrize("case", INPUT_ERRORS)
+    def test_input_errors_name_their_fault(self, case):
+        build, message = INPUT_ERRORS[case]
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_collinear_merge(self):
         f = pwfn(
