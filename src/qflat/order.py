@@ -165,10 +165,7 @@ def _conj_gap_sup(
 ) -> SupResult:
     """Sup of conj(f(x), g(x)) over (u, v); the branch is constant there."""
     mid = (u + v) / 2
-    fm, gm = fp(mid), gp(mid)
-    s = next(
-        (s for s in T.summands if s.lo <= fm <= s.hi and s.lo <= gm <= s.hi), None
-    )
+    s = T.summand_of_pair(fp(mid), gp(mid))
     if s is None:
         return _min_gap_sup(fp, gp, u, v)
     den = _lin_mul(fp.d, fp.c, gp.d, gp.c)

@@ -3,14 +3,16 @@
 A t-norm here is a finite list of pairwise disjoint open summand intervals,
 each rescaling the Lukasiewicz or the product t-norm onto itself; outside
 every summand square the operation is min.  The empty list is min itself.
-Conjunction and implication are closed-form and exact; the brute-force
-counterparts live in the oracle module.
+Conjunction and implication are closed-form and exact: they compute on
+integer numerators and denominators and build one Fraction per result.
+The brute-force counterparts live in the oracle module.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .rat import ONE, ZERO, DomainError, ParseError, Rat, ensure_unit, fmt_rat, parse_rat
@@ -63,14 +65,29 @@ class OrdinalSumTNorm:
 
     # -- structure -----------------------------------------------------------
 
-    def _summand_of_pair(self, x: Rat, y: Rat) -> Optional[Summand]:
-        lo, hi = (x, y) if x <= y else (y, x)
+    @cached_property
+    def _rows(self) -> tuple[tuple, ...]:
+        """Per summand s, lo = ln/ld and hi = hn/hd: (ln, ld, hn, hd, hn*ld - ln*hd, Lukasiewicz?, s)."""
+        rows = []
         for s in self.summands:
-            if s.lo <= lo and hi <= s.hi:
-                return s
-            if s.lo > lo:
-                break
+            (ln, ld), (hn, hd) = s.lo.as_integer_ratio(), s.hi.as_integer_ratio()
+            rows.append((ln, ld, hn, hd, hn * ld - ln * hd, s.kind is SummandKind.LUKASIEWICZ, s))
+        return tuple(rows)
+
+    def _row(self, an: int, ad: int, bn: int, bd: int) -> Optional[tuple]:
+        """The first row whose summand's closed square holds an/ad <= bn/bd, or None."""
+        for row in self._rows:
+            if row[0] * ad > an * row[1]:
+                return None
+            if bn * row[3] <= row[2] * bd:
+                return row
         return None
+
+    def summand_of_pair(self, x: Rat, y: Rat) -> Optional[Summand]:
+        """The first summand whose closed square holds (x, y), or None."""
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        row = self._row(xn, xd, yn, yd) if xn * yd <= yn * xd else self._row(yn, yd, xn, xd)
+        return None if row is None else row[-1]
 
     def is_idempotent(self, c: Rat) -> bool:
         ensure_unit(c, "element")
@@ -83,10 +100,13 @@ class OrdinalSumTNorm:
                 return Frame(s.lo, s.hi, s)
         return Frame(c, c, None)
 
-    def idempotent_levels(self) -> list[Rat]:
+    @cached_property
+    def _levels(self) -> tuple[Rat, ...]:
+        return tuple(sorted({p for s in self.summands for p in (s.lo, s.hi)}))
+
+    def idempotent_levels(self) -> tuple[Rat, ...]:
         """All summand endpoints, sorted; the idempotent set's boundary."""
-        pts = sorted({p for s in self.summands for p in (s.lo, s.hi)})
-        return pts
+        return self._levels
 
     # -- the quantale operations ----------------------------------------------
 
@@ -94,25 +114,33 @@ class OrdinalSumTNorm:
         """The t-norm x & y, exact."""
         ensure_unit(x, "argument")
         ensure_unit(y, "argument")
-        s = self._summand_of_pair(x, y)
-        if s is None:
-            return min(x, y)
-        if s.kind is SummandKind.LUKASIEWICZ:
-            return max(s.lo, x + y - s.hi)
-        return s.lo + (x - s.lo) * (y - s.lo) / (s.hi - s.lo)
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        le = xn * yd <= yn * xd
+        row = self._row(xn, xd, yn, yd) if le else self._row(yn, yd, xn, xd)
+        if row is None:
+            return x if le else y
+        ln, ld, hn, hd, w, luk, s = row
+        if luk:  # max(lo, x + y - hi)
+            num, den = (xn * yd + yn * xd) * hd - hn * xd * yd, xd * yd * hd
+            return s.lo if num * ld <= ln * den else Rat(num, den)
+        den = xd * yd * w  # lo + (x - lo)(y - lo)/(hi - lo)
+        return Rat(ln * den + (xn * ld - ln * xd) * (yn * ld - ln * yd) * hd, ld * den)
 
     def residuum(self, x: Rat, y: Rat) -> Rat:
         """The implication x -> y: the largest z with x & z <= y."""
         ensure_unit(x, "argument")
         ensure_unit(y, "argument")
-        if x <= y:
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        if xn * yd <= yn * xd:
             return ONE
-        s = self._summand_of_pair(x, y)
-        if s is None:
+        row = self._row(yn, yd, xn, xd)
+        if row is None:
             return y
-        if s.kind is SummandKind.LUKASIEWICZ:
-            return s.hi - x + y
-        return s.lo + (s.hi - s.lo) * (y - s.lo) / (x - s.lo)
+        ln, ld, hn, hd, w, luk, _ = row
+        if luk:  # hi - x + y
+            return Rat(hn * xd * yd + (yn * xd - xn * yd) * hd, hd * xd * yd)
+        den = hd * yd * (xn * ld - ln * xd)  # lo + (hi - lo)(y - lo)/(x - lo)
+        return Rat(ln * den + w * (yn * ld - ln * yd) * xd, ld * den)
 
     def frame_residuum(self, frame: Frame, x: Rat, y: Rat) -> Rat:
         """Implication of the subquantale carried by a nondegenerate frame."""

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from qflat import GODEL, LUKASIEWICZ, PRODUCT, DomainError, ParseError, PwFn, make_tnorm
 from qflat.ideal import restrict_ideal, witness_upper_pair
 from qflat.order import principal_lower, principal_upper
-from qflat.rat import fmt_rat, parse_rat
+from qflat.oracle import random_rat, random_tnorm
+from qflat.rat import ONE, fmt_rat, parse_rat
 from qflat.tnorms import Frame, Summand, SummandKind, builtin, parse_tnorm_body, print_tnorm
 
-from conftest import brute_residuum, grid
+from conftest import brute_residuum, grid, tnorm_over_997
 
 rats = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
@@ -89,6 +91,92 @@ class TestClosedForms:
         pts = grid(20)
         assert brute_residuum(t4, F(3, 4), F(3, 5), pts) == F(7, 10)
         assert brute_residuum(t4, F(3, 5), F(3, 10), pts) == F(3, 10)
+
+
+# The Fraction closed forms that conj and residuum computed before they moved
+# to integers, kept here as the reference of the integer kernel.
+
+
+def reference_summand(T, x, y):
+    lo, hi = (x, y) if x <= y else (y, x)
+    for s in T.summands:
+        if s.lo <= lo and hi <= s.hi:
+            return s
+        if s.lo > lo:
+            break
+    return None
+
+
+def reference_conj(T, x, y, seen):
+    s = reference_summand(T, x, y)
+    if s is None:
+        seen["conj min"] += 1
+        return min(x, y)
+    if s.kind is SummandKind.LUKASIEWICZ:
+        seen["conj floor" if x + y - s.hi <= s.lo else "conj lukasiewicz"] += 1
+        return max(s.lo, x + y - s.hi)
+    seen["conj product"] += 1
+    return s.lo + (x - s.lo) * (y - s.lo) / (s.hi - s.lo)
+
+
+def reference_residuum(T, x, y, seen):
+    if x <= y:
+        seen["residuum one"] += 1
+        return ONE
+    s = reference_summand(T, x, y)
+    if s is None:
+        seen["residuum min"] += 1
+        return y
+    if s.kind is SummandKind.LUKASIEWICZ:
+        seen["residuum lukasiewicz"] += 1
+        return s.hi - x + y
+    seen["residuum product"] += 1
+    return s.lo + (s.hi - s.lo) * (y - s.lo) / (x - s.lo)
+
+
+def kernel_families():
+    rng = random.Random(25)
+    luk, prod = SummandKind.LUKASIEWICZ, SummandKind.PRODUCT
+    # int endpoints: the floor and the min region must hand back the very
+    # object the Fraction formulas returned, an int where they returned one
+    ints = make_tnorm([Summand(0, F(1, 2), luk), Summand(F(1, 2), 1, prod)])
+    touching = make_tnorm([(F(1, 5), F(2, 5), luk), (F(2, 5), F(3, 5), prod), (F(3, 5), F(4, 5), luk)])
+    yield from (GODEL, LUKASIEWICZ, PRODUCT, ints, touching)
+    for _ in range(40):
+        yield random_tnorm(rng)
+        yield tnorm_over_997(rng)
+
+
+def kernel_arguments(T, rng):
+    xs = {0, 1, F(0), F(1), F(1, 2)} | {random_rat(rng) for _ in range(4)}
+    xs |= {F(rng.randint(0, 10**6), 10**6 + rng.randint(0, 9)) for _ in range(3)}
+    for s in T.summands:
+        xs |= {s.lo, s.hi, (s.lo + s.hi) / 2, (2 * s.lo + s.hi) / 3, s.lo + (s.hi - s.lo) / 997}
+    return list(xs)
+
+
+def test_integer_kernel_matches_the_fraction_formulas():
+    """conj and residuum return what the Fraction closed forms return, of
+    the same type, on every branch; the lookup returns the first summand
+    whose closed square holds the pair, also where two closures touch."""
+    rng = random.Random(7)
+    seen = Counter()
+    for T in kernel_families():
+        xs = kernel_arguments(T, rng)
+        for x in xs:
+            for y in xs:
+                for got, want in (
+                    (T.conj(x, y), reference_conj(T, x, y, seen)),
+                    (T.residuum(x, y), reference_residuum(T, x, y, seen)),
+                    (T.summand_of_pair(x, y), reference_summand(T, x, y)),
+                ):
+                    assert got == want and type(got) is type(want), (T.describe(), x, y, got, want)
+    # every branch runs often: a count at least half of what it is now
+    floors = {
+        "conj min": 10000, "conj lukasiewicz": 600, "conj floor": 1400, "conj product": 2000,
+        "residuum one": 7500, "residuum min": 4900, "residuum lukasiewicz": 900, "residuum product": 900,
+    }
+    assert all(seen[branch] >= n for branch, n in floors.items()), seen
 
 
 class TestAlgebraicLaws:
