@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import operator
 from itertools import chain
-from typing import Callable, Optional
+from typing import Optional
 
 from ._sup import SupResult, quad_roots, sup_ratfunc
 from .pwfn import (
@@ -28,8 +28,8 @@ from .pwfn import (
     const_piece,
     crossings,
     gap_probes,
-    halve_toward,
     kept_sign,
+    law_violation,
     linfrac,
     merged,
     pwfn,
@@ -317,138 +317,52 @@ def restricted_cap(f: PwFn, s: Summand) -> PwFn:
 
 
 # -- basic-case violations in frame coordinates -------------------------------
-#
-# On a frame [lo, hi] the summand is the basic quantale carried by the affine
-# map x -> (x - lo)/(hi - lo).  Each basic law below is invariant under the
-# common scale factor hi - lo of arguments and values, so the laws are read
-# on the frame itself and only the offset lo enters.
 
 
-def _pair_near(anchor: Rat, other: Rat, bad: Callable[[Rat, Rat], bool]) -> tuple[Rat, Rat]:
-    """A sorted pair ((anchor + t)/2, t) satisfying ``bad``, t halving toward anchor."""
+def basic_violation(sig: PwFn, kind: SummandKind, lower: bool) -> Optional[tuple[Rat, Rat]]:
+    """A pair (x, y) violating the basic-case lower-set (``lower``) or
+    upper-set law on the frame [lo, hi] = [sig.lo, sig.hi], if any, oriented
+    so that conj(f(x), d_L(y, x)) > f(y), or conj(d_L(x, y), f(x)) > f(y), in
+    that basic quantale.  sig is assumed monotone (L1/U1) and >= lo.
 
-    def pair(t: Rat) -> tuple[Rat, Rat]:
-        a, b = sorted(((anchor + t) / 2, t))
-        return a, b
+    On the frame the summand is the basic quantale carried by the affine map
+    x -> (x - lo)/(hi - lo).  Each law is invariant under the common scale
+    factor hi - lo of arguments and values, so it is read on the frame itself
+    and only the offset lo enters.  Each says that some g(x, sig(x)) does not
+    decrease, and :func:`law_violation` finds the first break.  In t = x - lo
+    a piece of sig, shifted to (a t + b)/(c t + d) = sig - lo, is pole-free
+    on its gap, and g' changes sign at most once there, so a fall inside the
+    gap shows at an end:
 
-    return pair(halve_toward(anchor, other, lambda t: bad(*pair(t))))
+    * Lukasiewicz, g = x + sig (lower) or x - sig (upper): sig is 1-Lipschitz
+      downward or upward.  g' = 1 + sig' or 1 - sig', and sig' = (a d - b c)/(c t + d)^2
+      is monotone on the gap; an affine piece has one slope on the whole gap.
+    * Product lower, g = (x - lo)(sig - lo), with jumps allowed at lo only:
+      g' has the numerator a c t^2 + 2 a d t + b d over a square, whose vertex
+      is the pole t = -d/c, outside the gap.
+    * Product upper, g = -(sig - lo)/(x - lo) on (lo, hi], with jumps allowed
+      at lo only, compared cross-multiplied: -g' has the sign of
+      sig' (x - lo) - (sig - lo), which is -(sig(lo) - lo) <= 0 at lo, with
+      the numerator -a c t^2 - 2 b c t - b d over a square.  Its vertex
+      t = -b/a is the root of the shifted piece, which is not constant then
+      and changes sign there, so a vertex strictly inside the gap would put
+      sig below lo.
 
-
-def _jump_scan(
-    f: PwFn, bad: Callable[[Rat, Rat], bool], at_left_end: bool
-) -> Optional[tuple[Rat, Rat]]:
-    """A real pair straddling the first jump of f that satisfies ``bad``;
-    a jump at the left end of the domain counts only when ``at_left_end``."""
-    bps = f.breakpoints
-    for i, bp in enumerate(bps):
-        x0 = bp.x
-        if i == 0 and not at_left_end:
-            continue
-        if i > 0 and bp.left != bp.at:
-            return halve_toward(x0, bps[i - 1].x, lambda t: bad(t, x0)), x0
-        if i < len(bps) - 1 and bp.at != bp.right:
-            return x0, halve_toward(x0, bps[i + 1].x, lambda t: bad(x0, t))
-    return None
-
-
-def _lukasiewicz_scan(sig: PwFn, sign: int) -> Optional[tuple[Rat, Rat]]:
-    """A pair a < b with sign*(sig(b) - sig(a)) > b - a, if any: sig fails
-    to be 1-Lipschitz downward (sign -1) or upward (sign 1)."""
-    bad = lambda a, b: sign * (sig.eval(b) - sig.eval(a)) > b - a  # noqa: E731
-    for i, piece in enumerate(sig.pieces):
-        u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
-        if piece.is_affine:
-            if sign * piece.a > 1:
-                return gap_probes(u, v)[1:]
-        else:
-            for anchor, other in ((u, v), (v, u)):
-                if sign * _mobius_deriv(piece, anchor) > 1:
-                    return _pair_near(anchor, other, bad)
-    return _jump_scan(sig, bad, at_left_end=True)
-
-
-def basic_lower_violation(
-    sig: PwFn, kind: SummandKind
-) -> Optional[tuple[Rat, Rat]]:
-    """A pair (x, y) violating the basic-case lower-set law on the frame
-    [lo, hi] = [sig.lo, sig.hi], if any.
-
-    For the Lukasiewicz quantale the law is: decreasing and 1-Lipschitz.
-    For the product quantale: decreasing and (x - lo)*(f(x) - lo)
-    non-decreasing, with jumps allowed at lo only.  The returned pair is
-    oriented so that conj(f(x), d_L(y, x)) > f(y) in that basic quantale.
+    A jump at lo breaks neither product law: (x0 - lo) times anything is 0.
     """
-    if kind is SummandKind.LUKASIEWICZ:
-        return _lukasiewicz_scan(sig, -1)
     lo = sig.lo
-
-    def drop(a: Rat, b: Rat) -> bool:
-        return (a - lo) * (sig.eval(a) - lo) > (b - lo) * (sig.eval(b) - lo)
-
-    for i, piece in enumerate(sig.pieces):
-        u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
-        for anchor, other in ((u, v), (v, u)):
-            # sign of the derivative of (x - lo)*(piece(x) - lo), monotone on the gap
-            if piece(anchor) - lo + (anchor - lo) * _mobius_deriv(piece, anchor) < 0:
-                return _pair_near(anchor, other, drop)
-    return _jump_scan(sig, drop, at_left_end=False)
-
-
-def basic_upper_violation(
-    sig: PwFn, kind: SummandKind
-) -> Optional[tuple[Rat, Rat]]:
-    """A pair (x, y) violating the basic-case upper-set law on the frame
-    [lo, hi] = [sig.lo, sig.hi], oriented so that conj(d_L(x, y), f(x)) > f(y);
-    increasingness and sig >= lo are assumed already checked.
-
-    For the product quantale the law is: (f(x) - lo)/(x - lo) non-increasing
-    on (lo, hi], with jumps allowed at lo only.
-    """
     if kind is SummandKind.LUKASIEWICZ:
-        pair = _lukasiewicz_scan(sig, 1)
+        sign = -1 if lower else 1
+        bad = lambda a, ya, b, yb: sign * (yb - ya) > b - a  # noqa: E731
+        falls = lambda p, x: sign * p.slope(x) > 1  # noqa: E731
+    elif lower:
+        bad = lambda a, ya, b, yb: (a - lo) * (ya - lo) > (b - lo) * (yb - lo)  # noqa: E731
+        falls = lambda p, x: p(x) - lo + (x - lo) * p.slope(x) < 0  # noqa: E731
     else:
-        lo = sig.lo
-
-        def grow(a: Rat, b: Rat) -> bool:
-            return (a - lo) * (sig.eval(b) - lo) > (b - lo) * (sig.eval(a) - lo)
-
-        for i, piece in enumerate(sig.pieces):
-            rise = _ratio_rise(piece, lo, sig.breakpoints[i].x, sig.breakpoints[i + 1].x)
-            if rise is not None:
-                pair = _pair_near(*rise, grow)
-                break
-        else:
-            pair = _jump_scan(sig, grow, at_left_end=False)
-    return None if pair is None else (pair[1], pair[0])
-
-
-def _mobius_deriv(piece: LinFrac, x: Rat) -> Rat:
-    den = piece.c * x + piece.d
-    return (piece.a * piece.d - piece.b * piece.c) / (den * den)
-
-
-def _ratio_rise(piece: LinFrac, lo: Rat, u: Rat, v: Rat) -> Optional[tuple[Rat, Rat]]:
-    """An anchor/other pair where ((piece(x) - lo)/(x - lo))' > 0 holds at
-    the anchor, if any.  The piece must not go below lo on [u, v].
-
-    The numerator of that derivative is a quadratic in t = x - lo.  Its
-    vertex t = -b/a is the root of the shifted piece below, which is not
-    constant then and changes sign there, so a vertex strictly inside the
-    gap would put the piece below lo.  The quadratic is therefore monotone
-    on the gap, and its two ends decide."""
-    # the shifted piece t -> piece(t + lo) - lo = (a*t + b)/(c*t + d)
-    c, d = piece.c, piece.c * lo + piece.d
-    a, b = piece.a - lo * c, piece.a * lo + piece.b - lo * d
-
-    def wnum(t: Rat) -> Rat:
-        # numerator of (shifted/t)': -ac t^2 - 2bc t - bd over positive square
-        return -(a * c) * t * t - 2 * b * c * t - b * d
-
-    if u > lo and wnum(u - lo) > 0:
-        return u, v
-    if wnum(v - lo) > 0:
-        return v, u
-    return None
+        bad = lambda a, ya, b, yb: (a - lo) * (yb - lo) > (b - lo) * (ya - lo)  # noqa: E731
+        falls = lambda p, x: (x - lo) * p.slope(x) > p(x) - lo  # noqa: E731
+    pair = law_violation(sig, bad, falls, lambda p: kind is SummandKind.LUKASIEWICZ and p.is_affine)
+    return pair if lower or pair is None else (pair[1], pair[0])
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +404,12 @@ def _frame_report(
     hull_walk emits (lo, f(lo), lo, lo) at the summand bottom, so L4 has
     already given f(1) >= lo.
     """
-    if lower:
-        rule, witness, basic = "L3", def_lower_witness, basic_lower_violation
-    else:
-        rule, witness, basic = "U3", def_upper_witness, basic_upper_violation
+    rule, witness = ("L3", def_lower_witness) if lower else ("U3", def_upper_witness)
     lo, hi = s.lo, s.hi
     if f.eval(lo) < lo:
         return None  # premise of the frame condition fails; nothing to check
     caps[s] = restricted_cap(f, s)
-    pair = basic(caps[s], s.kind)
+    pair = basic_violation(caps[s], s.kind, lower)
     if pair is None:
         return None
     return violated(

@@ -17,6 +17,7 @@ parsing.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -75,9 +76,12 @@ class LinFrac:
             return None
         return -self.d / self.c
 
-    def deriv_sign(self) -> int:
-        det = self.a * self.d - self.b * self.c
-        return (det > 0) - (det < 0)
+    def slope(self, x: Rat) -> Rat:
+        """The derivative at x, a point off the pole."""
+        if not self.c:  # affine
+            return self.a
+        den = self.c * x + self.d
+        return (self.a * self.d - self.b * self.c) / (den * den)
 
 
 def _solve_eq(piece: LinFrac, k: Rat) -> Optional[Rat]:
@@ -161,6 +165,51 @@ def halve_toward(anchor: Rat, other: Rat, ok: Callable[[Rat], bool]) -> Rat:
             return t
         step /= 2
     raise AssertionError("witness search failed")  # pragma: no cover
+
+
+def law_violation(
+    f: PwFn,
+    bad: Callable[[Rat, Rat, Rat, Rat], bool],
+    falls: Callable[[LinFrac, Rat], bool],
+    whole: Callable[[LinFrac], bool],
+) -> Optional[tuple[Rat, Rat]]:
+    """A real pair a < b with bad(a, f(a), b, f(b)), or None: the first break
+    of a law that g(x, f(x)) does not decrease, where bad(a, ya, b, yb) says
+    g(a, ya) > g(b, yb).
+
+    Pieces come first.  falls(piece, x) says g' < 0 at x, and the law must
+    make g' < 0 anywhere on a gap show at an end, tried u, then v.  With
+    whole(piece) g' < 0 on the whole gap, and the quarter points are the
+    pair; otherwise the pair closes in on that end.  Then the jumps, in
+    order: a pair straddling x0 breaks the law near x0 exactly when the
+    one-sided limits do, bad(x0, left, x0, at) or bad(x0, at, x0, right).
+    """
+    bps, xs = f.breakpoints, f._xs
+    for piece, u, v in zip(f.pieces, xs, xs[1:]):
+        for anchor, other in ((u, v), (v, u)):
+            if not falls(piece, anchor):
+                continue
+            if whole(piece):
+                return gap_probes(u, v)[1:]
+
+            def pair(t: Rat) -> tuple[Rat, Rat]:
+                a, b = sorted(((anchor + t) / 2, t))
+                return a, b
+
+            def ok(t: Rat) -> bool:
+                a, b = pair(t)
+                return bad(a, piece(a), b, piece(b))
+
+            return pair(halve_toward(anchor, other, ok))
+    for i, bp in enumerate(bps):
+        x0, at = bp.x, bp.at
+        if i and bp.left != at and bad(x0, bp.left, x0, at):
+            piece = f.pieces[i - 1]
+            return halve_toward(x0, xs[i - 1], lambda t: bad(t, piece(t), x0, at)), x0
+        if i < len(f.pieces) and at != bp.right and bad(x0, at, x0, bp.right):
+            piece = f.pieces[i]
+            return x0, halve_toward(x0, xs[i + 1], lambda t: bad(x0, at, t, piece(t)))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +345,14 @@ class PwFn:
     def monotone_violation(self, direction: str) -> Optional[tuple[Rat, Rat]]:
         """A real pair a < b breaking global monotonicity, or None.
 
-        ``direction`` is ``"decreasing"`` or ``"increasing"``.
+        ``direction`` is ``"decreasing"`` or ``"increasing"``.  A piece is
+        monotone or constant, so its slope keeps one sign on the whole gap.
         """
         if direction not in ("decreasing", "increasing"):
             raise DomainError(f"unknown direction {direction!r}")
-        want = -1 if direction == "decreasing" else 1
-        for i, piece in enumerate(self.pieces):
-            s = piece.deriv_sign()
-            if s != 0 and s != want:
-                return gap_probes(self.breakpoints[i].x, self.breakpoints[i + 1].x)[1:]
-        for i, bp in enumerate(self.breakpoints):
-            # a pair straddling the jump violates the direction when the
-            # nearby value sits on the wrong side of the point value
-            if i > 0 and (bp.left - bp.at) * want > 0:
-                piece = self.pieces[i - 1]
-                a = halve_toward(
-                    bp.x, self.breakpoints[i - 1].x, lambda t: (piece(t) - bp.at) * want > 0
-                )
-                return a, bp.x
-            if i < len(self.breakpoints) - 1 and (bp.right - bp.at) * want < 0:
-                piece = self.pieces[i]
-                b = halve_toward(
-                    bp.x, self.breakpoints[i + 1].x, lambda t: (piece(t) - bp.at) * want < 0
-                )
-                return bp.x, b
-        return None
+        wrong = operator.lt if direction == "decreasing" else operator.gt
+        falls = lambda piece, x: wrong(0, piece.slope(x))  # noqa: E731
+        return law_violation(self, lambda a, ya, b, yb: wrong(ya, yb), falls, lambda piece: True)
 
     # -- structural surgery ---------------------------------------------------
 

@@ -94,7 +94,7 @@ def ensure_unit(value: Rat, what: str = "value") -> Rat:
 
     Anything else, a float included, raises :class:`DomainError`.
     """
-    if not isinstance(value, (int, Fraction)):
+    if not isinstance(value, (Fraction, int)):
         raise DomainError(f"{what} {value!r} is not an exact rational")
     if not 0 <= value.numerator <= value.denominator:
         raise DomainError(f"{what} {fmt_rat(value)} outside [0,1]")

@@ -25,9 +25,7 @@ from qflat.order import (
     _conj_gap_sup,
     _frame_report,
     _gap_walk,
-    _lukasiewicz_scan,
     _min_gap_sup,
-    _pair_near,
     _solve_eq,
     check_lower_set,
     check_upper_set,
@@ -746,6 +744,41 @@ def reference_jump_scan(f, bad, at_zero):
         if i < len(bps) - 1 and bp.at != bp.right:
             return x0, halve_toward(x0, bps[i + 1].x, lambda t: bad(x0, t))
     return None
+
+
+# The Lukasiewicz scan and the pair search of the reference are its own, so
+# that it does not run pwfn.law_violation, the code it checks.
+
+
+def _pair_near(anchor, other, bad):
+    """A sorted pair ((anchor + t)/2, t) satisfying ``bad``, t halving toward anchor."""
+
+    def pair(t):
+        a, b = sorted(((anchor + t) / 2, t))
+        return a, b
+
+    return pair(halve_toward(anchor, other, lambda t: bad(*pair(t))))
+
+
+def _mobius_deriv(piece, x):
+    den = piece.c * x + piece.d
+    return (piece.a * piece.d - piece.b * piece.c) / (den * den)
+
+
+def _lukasiewicz_scan(sig, sign):
+    """A pair a < b with sign*(sig(b) - sig(a)) > b - a, if any: sig fails
+    to be 1-Lipschitz downward (sign -1) or upward (sign 1)."""
+    bad = lambda a, b: sign * (sig.eval(b) - sig.eval(a)) > b - a  # noqa: E731
+    for i, piece in enumerate(sig.pieces):
+        u, v = sig.breakpoints[i].x, sig.breakpoints[i + 1].x
+        if piece.is_affine:
+            if sign * piece.a > 1:
+                return u + (v - u) / 4, u + 3 * (v - u) / 4
+        else:
+            for anchor, other in ((u, v), (v, u)):
+                if sign * _mobius_deriv(piece, anchor) > 1:
+                    return _pair_near(anchor, other, bad)
+    return reference_jump_scan(sig, bad, True)
 
 
 def reference_lower_scan(g, kind):
