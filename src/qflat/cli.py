@@ -212,39 +212,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     families = _verify_families(args, spec)
     # built before any suite runs, so a bad budget or grid fails with no output
     cfg, grid = TrialConfig(args.trials, args.seed), GridSpec(args.grid)
-    ok = True
-    lines: list[str] = []
     per_family = {
         "adjunction": lambda T: verify_adjunction(T, grid),
         "sandwich": lambda T: verify_sandwich(T, grid),
         "yoneda": lambda T: yoneda_suite(T, cfg),
     }
-
-    def run(suite: str) -> None:
-        nonlocal ok
-        if suite in per_family:
-            for T in families:
-                rep = per_family[suite](T)
-                ok &= rep.holds
-                status = "PASS" if rep.holds else "FAIL"
-                lines.append(f"{status} {suite} family={T.describe()} {rep.describe()}")
-        elif suite == "equivalence":
-            rep = equivalence_harness(families, cfg, grid_resolution=args.grid)
-            ok &= rep.ok
-            lines.extend(f"{ln} suite=equivalence" for ln in rep.lines)
-        elif suite == "lemma37":
-            rep = lemma37_suite(TrialConfig(max(cfg.trials * 10, 100), cfg.seed))
-            ok &= rep.holds
-            status = "PASS" if rep.holds else "FAIL"
-            lines.append(f"{status} lemma37 {rep.describe()}")
-
     suites = (
         ["adjunction", "sandwich", "equivalence", "lemma37"]
         if args.suite == "all"
         else [args.suite]
     )
-    for s in suites:
-        run(s)
+    ok, lines = True, []
+    for suite in suites:
+        if suite == "equivalence":
+            harness = equivalence_harness(families, cfg, grid_resolution=args.grid)
+            ok &= harness.ok
+            lines += [f"{ln} suite=equivalence" for ln in harness.lines]
+            continue
+        if suite == "lemma37":
+            runs = [("lemma37", lemma37_suite(TrialConfig(max(cfg.trials * 10, 100), cfg.seed)))]
+        else:
+            runs = [(f"{suite} family={T.describe()}", per_family[suite](T)) for T in families]
+        for label, rep in runs:
+            ok &= rep.holds
+            lines.append(f"{'PASS' if rep.holds else 'FAIL'} {label} {rep.describe()}")
     print("\n".join(lines))
     return EXIT_OK if ok else EXIT_VIOLATED
 

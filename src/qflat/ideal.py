@@ -16,12 +16,13 @@ searches difference points and may fall back to a point witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 from .order import (
     _gap_walk,
-    _lower_set,
     _min_gap_sup,
+    _set_report,
     hull_walk,
     lower_piece,
     lower_profile,
@@ -102,20 +103,11 @@ def is_inhabited(phi: PwFn) -> CheckReport:
     detail = f"sup={fmt_rat(sup.value)} attained={sup.attained}"
     if sup.value == ONE:
         return CheckReport(True, detail=detail)
-    return violated(
-        "DEF", PointWitness(_sup_position(phi), (("sup", sup.value),)), detail=detail
-    )
-
-
-def _sup_position(phi: PwFn) -> Rat:
-    target = phi.global_sup().value
-    for bp in phi.breakpoints:
-        if bp.at == target:
-            return bp.x
-    for bp in phi.breakpoints:
-        if bp.right == target or bp.left == target:
-            return bp.x
-    raise AssertionError("global_sup reads a breakpoint's at, left or right")
+    # global_sup reads a breakpoint's at, left or right; an attained value goes first
+    attained = (bp.x for bp in phi.breakpoints if bp.at == sup.value)
+    limits = (bp.x for bp in phi.breakpoints if sup.value in (bp.left, bp.right))
+    witness = PointWitness(next(chain(attained, limits)), (("sup", sup.value),))
+    return violated("DEF", witness, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +141,7 @@ def flat_conditions(T: OrdinalSumTNorm, phi: PwFn) -> dict[str, CheckReport]:
 
     A phi that is not a fuzzy lower set raises a DomainError naming its L rule.
     """
-    pre, walk, caps = _lower_set(T, phi)
+    pre, walk, caps = _set_report(T, phi, True)
     if not pre:
         raise DomainError(f"not a fuzzy lower set: {pre.rule} fails")
     return dict(_flat_reports(T, phi, walk, caps))
@@ -161,7 +153,7 @@ def check_flat(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
     A candidate failing the lower-set precondition is reported with the
     lower-set rule label (L1-L4); genuine flatness failures carry F1-F3.
     """
-    pre, walk, caps = _lower_set(T, phi)
+    pre, walk, caps = _set_report(T, phi, True)
     if not pre:
         detail = "not a fuzzy lower set"
         if pre.detail:
@@ -389,9 +381,8 @@ def k_set(T: OrdinalSumTNorm, phi: PwFn) -> KSet:
 def tensor_via_k(T: OrdinalSumTNorm, phi: PwFn, psi: PwFn) -> Rat:
     """sup over K_phi of min(phi, psi); equals tensor(T, phi, psi) whenever
     phi satisfies the ceiling and frame-principality conditions."""
+    # no summand has lo < 0, so hull_walk's first point is (0, phi(0), 0, 0) and 0 is in K
     K = k_set(T, phi)
-    if not K.intervals:
-        raise DomainError("empty K set: phi violates the ceiling condition at 0")
     points, gaps = merged(phi, psi)
     vals = []
     for iv in K.intervals:

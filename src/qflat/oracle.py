@@ -738,22 +738,18 @@ def equivalence_harness(
                 f = random_lower(T, rng)
             else:
                 f = random_upper(T, rng)
-            if lower_candidate:
-                verdict = check_lower_set(T, f)
-                if verdict.holds:
-                    fal = falsify_lower_set(T, f, grid)
-                    if not fal.holds:
-                        note(f"lower holds yet grid found {fal.describe()}")
-                elif not revalidate_witness(T, f, verdict, lower=True):
-                    note(f"lower witness fails recheck: {verdict.describe()}")
-            else:
-                verdict = check_upper_set(T, f)
-                if verdict.holds:
-                    fal = falsify_upper_set(T, f, grid)
-                    if not fal.holds:
-                        note(f"upper holds yet grid found {fal.describe()}")
-                elif not revalidate_witness(T, f, verdict, lower=False):
-                    note(f"upper witness fails recheck: {verdict.describe()}")
+            kind, check, falsify = (
+                ("lower", check_lower_set, falsify_lower_set)
+                if lower_candidate
+                else ("upper", check_upper_set, falsify_upper_set)
+            )
+            verdict = check(T, f)
+            if verdict.holds:
+                fal = falsify(T, f, grid)
+                if not fal.holds:
+                    note(f"{kind} holds yet grid found {fal.describe()}")
+            elif not revalidate_witness(T, f, verdict, lower=lower_candidate):
+                note(f"{kind} witness fails recheck: {verdict.describe()}")
         flats = flat_candidates(T, rng, 3)
         for phi in flats:
             verdict = check_flat(T, phi)

@@ -293,21 +293,14 @@ def hull_walk(T: OrdinalSumTNorm, f: PwFn) -> tuple[list[tuple], list[tuple]]:
     return points, gaps
 
 
-def def_lower_witness(T: OrdinalSumTNorm, phi: PwFn, x: Rat, y: Rat) -> PairWitness:
-    """The definitional inequality conj(phi(x), d_L(y,x)) <= phi(y) at (x, y)."""
-    vx, vy = phi.eval(x), phi.eval(y)
-    lhs = T.conj(vx, T.residuum(y, x))
+def def_witness(T: OrdinalSumTNorm, f: PwFn, x: Rat, y: Rat, lower: bool) -> PairWitness:
+    """The definitional inequality at (x, y): conj(f(x), d_L(y,x)) <= f(y) for
+    a lower set (``lower``), conj(d_L(x,y), f(x)) <= f(y) for an upper set.
+    conj is commutative, so f(x) goes first on both sides."""
+    vx, vy = f.eval(x), f.eval(y)
+    lhs = T.conj(vx, T.residuum(y, x) if lower else T.residuum(x, y))
     if lhs <= vy:  # pragma: no cover - guards witness-mapping bugs
-        raise AssertionError("lower-set witness does not violate the definition")
-    return PairWitness(x, y, vx, vy, lhs, vy, "<=")
-
-
-def def_upper_witness(T: OrdinalSumTNorm, psi: PwFn, x: Rat, y: Rat) -> PairWitness:
-    """The definitional inequality conj(d_L(x,y), psi(x)) <= psi(y) at (x, y)."""
-    vx, vy = psi.eval(x), psi.eval(y)
-    lhs = T.conj(T.residuum(x, y), vx)
-    if lhs <= vy:  # pragma: no cover
-        raise AssertionError("upper-set witness does not violate the definition")
+        raise AssertionError("set witness does not violate the definition")
     return PairWitness(x, y, vx, vy, lhs, vy, "<=")
 
 
@@ -404,7 +397,6 @@ def _frame_report(
     hull_walk emits (lo, f(lo), lo, lo) at the summand bottom, so L4 has
     already given f(1) >= lo.
     """
-    rule, witness = ("L3", def_lower_witness) if lower else ("U3", def_upper_witness)
     lo, hi = s.lo, s.hi
     if f.eval(lo) < lo:
         return None  # premise of the frame condition fails; nothing to check
@@ -413,59 +405,52 @@ def _frame_report(
     if pair is None:
         return None
     return violated(
-        rule,
-        witness(T, f, *pair),
+        "L3" if lower else "U3",
+        def_witness(T, f, *pair, lower),
         detail=f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}",
     )
 
 
-def _lower_set(T: OrdinalSumTNorm, phi: PwFn) -> tuple[CheckReport, Optional[tuple], dict]:
-    """The verdict of check_lower_set, phi's hull walk (None when L1 fails)
-    and the capped restriction of every summand whose frame L3 scanned, so
-    that the flatness conditions build neither again."""
-    _require_unit_domain(phi, "lower-set candidate")
+def _set_report(T: OrdinalSumTNorm, f: PwFn, lower: bool) -> tuple[CheckReport, Optional[tuple], dict]:
+    """The verdict of check_lower_set (``lower``) or check_upper_set, f's hull
+    walk (None when L1/U1 fails) and the capped restriction of every summand
+    whose frame L3/U3 scanned, so that the flatness conditions build neither
+    again."""
+    _require_unit_domain(f, "lower-set candidate" if lower else "upper-set candidate")
     caps: dict[Summand, PwFn] = {}
-    pair = phi.monotone_violation("decreasing")
+    pair = f.monotone_violation("decreasing" if lower else "increasing")
     if pair:
-        rep = violated("L1", def_lower_witness(T, phi, pair[1], pair[0]), detail="not decreasing")
-        return rep, None, caps
+        rule, detail = ("L1", "not decreasing") if lower else ("U1", "not increasing")
+        # a lower set's pair a < b with f(a) < f(b) breaks the law at (b, a)
+        x, y = pair[::-1] if lower else pair
+        return violated(rule, def_witness(T, f, x, y, lower), detail=detail), None, caps
 
-    walk = points, gaps = hull_walk(T, phi)
-    phi1 = points[-1][1]
-    rep = _floor_report(points, gaps, lower=True)
-    if rep is None:
+    walk = points, gaps = hull_walk(T, f)
+    f1 = points[-1][1]
+    rep = _floor_report(points, gaps, lower)
+    if rep is None and lower:
         # L4: idempotent c with phi(c) >= c forces phi(1) >= c
-        at = (c for c, fc, cminus, cplus in points if cminus == cplus and fc >= c > phi1)
+        at = (c for c, fc, cminus, cplus in points if cminus == cplus and fc >= c > f1)
         inside = (
-            (max(p, phi1) + q) / 2
+            (max(p, f1) + q) / 2
             for p, q, piece, s in gaps
-            if s is None and piece((p + q) / 2) >= (p + q) / 2 and phi1 < q
+            if s is None and piece((p + q) / 2) >= (p + q) / 2 and f1 < q
         )
         c = next(chain(at, inside), None)
         if c is not None:
-            rep = violated("L4", PointWitness(c, (("phi(c)", phi.eval(c)), ("phi(1)", phi1))))
+            rep = violated("L4", PointWitness(c, (("phi(c)", f.eval(c)), ("phi(1)", f1))))
     if rep is None:
-        # L3: per-summand frame condition
-        frames = (_frame_report(T, phi, s, True, caps) for s in T.summands)
+        # L3/U3: per-summand frame condition
+        frames = (_frame_report(T, f, s, lower, caps) for s in T.summands)
         rep = next((r for r in frames if r is not None), HOLDS)
     return rep, walk, caps
 
 
 def check_lower_set(T: OrdinalSumTNorm, phi: PwFn) -> CheckReport:
     """Decide whether phi is a fuzzy lower set of ([0,1], d_L), exactly."""
-    return _lower_set(T, phi)[0]
+    return _set_report(T, phi, True)[0]
 
 
 def check_upper_set(T: OrdinalSumTNorm, psi: PwFn) -> CheckReport:
     """Decide whether psi is a fuzzy upper set of ([0,1], d_L), exactly."""
-    _require_unit_domain(psi, "upper-set candidate")
-    pair = psi.monotone_violation("increasing")
-    if pair:
-        return violated("U1", def_upper_witness(T, psi, *pair), detail="not increasing")
-
-    rep = _floor_report(*hull_walk(T, psi), lower=False)
-    if rep is None:
-        # U3: per-summand frame condition
-        frames = (_frame_report(T, psi, s, False, {}) for s in T.summands)
-        rep = next((r for r in frames if r is not None), HOLDS)
-    return rep
+    return _set_report(T, psi, False)[0]

@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -189,6 +190,14 @@ class TestVerify:
     def test_all_leaves_out_yoneda(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--grid", "4", "--trials", "2")
         assert code == 0 and out and "yoneda" not in out
+
+    def test_all_output_is_pinned(self, capsys):
+        """A small full run byte for byte: every suite, family and count."""
+        argv = ["verify", "--suite", "all", "--grid", "6", "--trials", "3", "--seed", "42"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == 25
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "8f208f1a863357d6b7144e32ee10bab226102502ce7a9d9632645ea085c53c7f"
 
     @pytest.mark.parametrize(
         "suite", ["adjunction", "sandwich", "equivalence", "lemma37", "yoneda", "all"]

@@ -66,6 +66,31 @@ class TestInhabited:
         rep = is_inhabited(f)
         assert rep.holds and "attained=False" in rep.detail
 
+    def test_limit_only_sup_below_one_is_witnessed_at_its_breakpoint(self):
+        f = pwfn(
+            [
+                Breakpoint(F(0), F(1, 2), F(1, 2), F(1, 2)),
+                Breakpoint(F(1, 2), F(3, 4), F(1, 4), F(1, 4)),
+                Breakpoint(F(1), F(1, 4), F(1, 4), F(1, 4)),
+            ]
+        )
+        rep = is_inhabited(f)
+        assert not rep.holds and "sup=3/4 attained=False" in rep.detail
+        assert rep.witness.c == F(1, 2)
+
+    def test_attained_sup_is_witnessed_before_an_earlier_limit(self):
+        f = pwfn(
+            [
+                Breakpoint(F(0), F(1, 2), F(1, 2), F(1, 2)),
+                Breakpoint(F(1, 4), F(3, 4), F(1, 4), F(1, 4)),
+                Breakpoint(F(1, 2), F(1, 4), F(3, 4), F(1, 4)),
+                Breakpoint(F(1), F(1, 4), F(1, 4), F(1, 4)),
+            ]
+        )
+        rep = is_inhabited(f)
+        assert not rep.holds and "sup=3/4 attained=True" in rep.detail
+        assert rep.witness.c == F(1, 2)
+
 
 class TestCheckFlat:
     def test_goedel_principal(self):
@@ -425,6 +450,18 @@ class TestKSet:
     def test_two_summand_principal(self, t4):
         K = k_set(t4, principal_lower(t4, F(1, 4)))
         assert K.describe() == "[0, 1/4]"
+
+    def test_every_k_set_starts_closed_at_zero(self, families):
+        """hull_walk's first point is (0, phi(0), 0, 0), so 0 is in every K."""
+        from qflat.oracle import flat_candidates, random_lower, random_pwfn, random_upper
+
+        for seed in range(200):
+            rng = random.Random(seed)
+            for T in (random_tnorm(rng), families[seed % len(families)]):
+                fs = [random_pwfn(rng), random_lower(T, rng), random_upper(T, rng)]
+                for phi in fs + flat_candidates(T, rng, 1):
+                    first = k_set(T, phi).intervals[0]
+                    assert (first.lo, first.lo_closed) == (0, True), (T.describe(), phi)
 
     def test_reduction_matches_tensor(self, t4, families):
         rng = random.Random(26)

@@ -31,8 +31,7 @@ from qflat.order import (
     check_upper_set,
     d_L,
     d_R,
-    def_lower_witness,
-    def_upper_witness,
+    def_witness,
     hull_walk,
     principal_lower,
     principal_upper,
@@ -832,7 +831,7 @@ def reference_frame_report(T, f, s, lower):
     if pair is None:
         return None
     x, y = (lo + t * (hi - lo) for t in pair)
-    witness = def_lower_witness(T, f, x, y) if lower else def_upper_witness(T, f, x, y)
+    witness = def_witness(T, f, x, y, lower)
     detail = f"frame ({fmt_rat(lo)}, {fmt_rat(hi)}) of kind {s.kind.value}"
     return violated("L3" if lower else "U3", witness, detail=detail)
 
