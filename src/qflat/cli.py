@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -59,93 +60,80 @@ def _print_rat(value: Rat) -> None:
 # derived-function expressions for csv
 
 
-class _ExprParser:
+# a name is a run of letters, digits and _./-; spaces and tabs separate
+# tokens, and any other character is a token of its own
+_TOKEN = re.compile(r"(?P<name>[\w./-]+)|[^ \t]")
+
+
+def parse_expr(text: str, spec: SpecFile) -> PwFn:
     """name | principal_lower(T, x) | principal_upper(T, x)
     | net_ideal(T, [p1 p2 ...], limit, open|closed)
     | min(e, e) | max(e, e) | const(k) | identity"""
+    toks = [(m.group(), m.start(), m["name"] is not None) for m in _TOKEN.finditer(text)]
+    toks.append(("", len(text), False))  # the end of the text
+    i = 0
 
-    def __init__(self, text: str, spec: SpecFile):
-        self.text = text
-        self.pos = 0
-        self.spec = spec
+    def take(ch: str | None = None) -> str:
+        """Consume the next token, which must be ch, or a name if ch is None."""
+        nonlocal i
+        tok, start, is_name = toks[i]
+        if ch is None and not is_name:
+            raise ParseError(f"expected a name at {text[start:]!r}")
+        if ch is not None and tok != ch:
+            raise ParseError(f"expected {ch!r} at {text[start:]!r}")
+        i += 1
+        return tok
 
-    def parse(self) -> PwFn:
-        try:
-            fn = self._expr()
-        except RecursionError:
-            raise ParseError("expression nested too deeply") from None
-        self._ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"trailing input in expression: {self.text[self.pos:]!r}")
-        return fn
-
-    def _ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def _token(self) -> str:
-        self._ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_./-"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError(f"expected a name at {self.text[start:]!r}")
-        return self.text[start : self.pos]
-
-    def _expect(self, ch: str) -> None:
-        self._ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r} at {self.text[self.pos:]!r}")
-        self.pos += 1
-
-    def _peek(self, ch: str) -> bool:
-        self._ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def _expr(self) -> PwFn:
-        name = self._token()
-        if not self._peek("("):
+    def expr() -> PwFn:
+        name = take()
+        if toks[i][0] != "(":
             if name == "identity":
                 return PwFn.identity()
-            return self.spec.resolve_fn(name)
+            return spec.resolve_fn(name)
+        take("(")
         if name in ("principal_lower", "principal_upper"):
-            T = self.spec.resolve_tnorm(self._token())
-            self._expect(",")
-            x = parse_rat(self._token())
-            self._expect(")")
+            T = spec.resolve_tnorm(take())
+            take(",")
+            x = parse_rat(take())
+            take(")")
             make = principal_lower if name == "principal_lower" else principal_upper
             return make(T, x)
         if name == "net_ideal":
-            T = self.spec.resolve_tnorm(self._token())
-            self._expect(",")
-            self._expect("[")
+            T = spec.resolve_tnorm(take())
+            take(",")
+            take("[")
             pts = []
-            while not self._peek("]"):
-                pts.append(parse_rat(self._token()))
-            self._expect(",")
-            limit = parse_rat(self._token())
-            self._expect(",")
-            mode = self._token()
-            self._expect(")")
+            while toks[i][0] != "]":
+                pts.append(parse_rat(take()))
+            take("]")
+            take(",")
+            limit = parse_rat(take())
+            take(",")
+            mode = take()
+            take(")")
             if mode not in ("open", "closed"):
                 raise ParseError("net_ideal mode must be open or closed")
             return net_ideal(T, NetSpec(tuple(pts), limit, attained=(mode == "closed")))
         if name in ("min", "max"):
-            a = self._expr()
-            self._expect(",")
-            b = self._expr()
-            self._expect(")")
+            a = expr()
+            take(",")
+            b = expr()
+            take(")")
             return (pointwise_min if name == "min" else pointwise_max)(a, b)
         if name == "const":
-            k = parse_rat(self._token())
-            self._expect(")")
+            k = parse_rat(take())
+            take(")")
             return PwFn.constant(k)
         raise ParseError(f"unknown function expression {name!r}")
+
+    try:
+        fn = expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    tok, start, _ = toks[i]
+    if tok:
+        raise ParseError(f"trailing input in expression: {text[start:]!r}")
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     T = spec.resolve_tnorm(args.tnorm)
-    fn = _ExprParser(args.fn, spec).parse()
+    fn = parse_expr(args.fn, spec)
     checker = {"lower": check_lower_set, "upper": check_upper_set, "flat": check_flat}[
         args.kind
     ]
@@ -181,8 +169,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_tensor(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     T = spec.resolve_tnorm(args.tnorm)
-    phi = _ExprParser(args.lower, spec).parse()
-    psi = _ExprParser(args.upper, spec).parse()
+    phi = parse_expr(args.lower, spec)
+    psi = parse_expr(args.upper, spec)
     low = check_lower_set(T, phi)
     upp = check_upper_set(T, psi)
     if not low.holds:
@@ -244,7 +232,7 @@ def cmd_csv(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     if args.samples < 2:
         raise DomainError("need at least 2 samples")
-    fn = _ExprParser(args.fn, spec).parse()
+    fn = parse_expr(args.fn, spec)
     xs = {Fraction(k, args.samples - 1) for k in range(args.samples)}
     xs.update(bp.x for bp in fn.breakpoints)
     print("x,left,at,right,x_exact,at_exact")

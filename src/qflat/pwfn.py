@@ -615,20 +615,13 @@ def _point_rows(lines: Sequence[str]) -> list[Breakpoint]:
     for i, (x, values) in enumerate(rows):
         expected = 3 - (i == 0) - (i == last)
         if len(values) == 1:
-            left = at = right = values[0]
-        elif len(values) == expected:
-            if i == 0:
-                at, right = values
-                left = at
-            elif i == last:
-                left, at = values
-                right = at
-            else:
-                left, at, right = values
+            values *= 3
+        elif len(values) == expected:  # an outer limit is the end's own value
+            values = values[:1] * (i == 0) + values + values[-1:] * (i == last)
         else:
             raise ParseError(
                 f"point {fmt_rat(x)} expects {expected} values"
                 f" (or 1), got {len(values)}"
             )
-        bps.append(Breakpoint(x, left, at, right))
+        bps.append(Breakpoint(x, *values))
     return bps

@@ -103,8 +103,6 @@ def ensure_unit(value: Rat, what: str = "value") -> Rat:
 
 def rat_sqrt(value: Rat) -> Rat | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        return None
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:

@@ -256,6 +256,8 @@ class TestRestrictIdeal:
             restrict_ideal(t4, PwFn.constant(F(1)), F(1, 8))  # idempotent point
         with pytest.raises(DomainError):
             restrict_ideal(t4, principal_lower(t4, F(1, 8)), F(3, 10))  # premise fails
+        with pytest.raises(DomainError, match="restriction is not inhabited in the frame"):
+            restrict_ideal(t4, PwFn.constant(F(2, 5)), F(3, 10))  # sigma(1/4) = 2/5 < 1/2
 
     def test_frame_bottom_value_is_frame_unit(self, t4):
         sig = restrict_ideal(t4, PwFn.constant(F(1)), F(7, 10))
@@ -450,6 +452,17 @@ class TestKSet:
     def test_two_summand_principal(self, t4):
         K = k_set(t4, principal_lower(t4, F(1, 4)))
         assert K.describe() == "[0, 1/4]"
+
+    def test_isolated_points(self):
+        # 0 everywhere but phi(1/2) = 1/2: K is two single points
+        phi = pwfn(
+            [
+                Breakpoint(F(0), F(0), F(0), F(0)),
+                Breakpoint(F(1, 2), F(0), F(1, 2), F(0)),
+                Breakpoint(F(1), F(0), F(0), F(0)),
+            ]
+        )
+        assert k_set(GODEL, phi).describe() == "{0} u {1/2}"
 
     def test_every_k_set_starts_closed_at_zero(self, families):
         """hull_walk's first point is (0, phi(0), 0, 0), so 0 is in every K."""

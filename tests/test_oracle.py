@@ -679,6 +679,22 @@ class TestHarness:
         b = equivalence_harness(families[:2], TrialConfig(10, seed=7), grid_resolution=32)
         assert a.text() == b.text()
 
+    def test_disagreement_is_reported(self, monkeypatch, capsys):
+        # a lower-set checker that always holds: the grid falsifier disagrees
+        import qflat.oracle
+        from qflat.cli import main
+        from qflat.report import HOLDS
+
+        monkeypatch.setattr(qflat.oracle, "check_lower_set", lambda T, f: HOLDS)
+        rep = equivalence_harness([GODEL], TrialConfig(10, seed=1), grid_resolution=16)
+        assert not rep.ok and rep.disagreements == 2
+        assert rep.lines[0].startswith(
+            "FAIL family=min candidates=10 grid_n=16 disagreements=2"
+            " first: lower holds yet grid found VIOLATED DEF"
+        )
+        assert main(["verify", "--suite", "equivalence"]) == 1
+        assert "FAIL family=min" in capsys.readouterr().out
+
     def test_dropping_l4_would_disagree(self):
         # an L4-only violator: the exact checker reports L4, while the grid
         # falsifier independently finds a definitional counterexample; a
