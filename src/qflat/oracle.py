@@ -101,29 +101,29 @@ def _require_int(v: object, what: str) -> None:
 # grid-loop kernel: a value is n/(d*D) with d > 0, never reduced
 
 
-def _scale_to_lcm(*rows: Sequence[Rat]) -> tuple[int, list[list[int]]]:
-    """(D, [row*D, ...]) with D the lcm of every denominator in the rows.
+def _scale_to_lcm(*rows: Sequence[tuple[int, int]]) -> tuple[int, list[list[int]]]:
+    """(D, [row*D, ...]) for rows of (num, den) pairs, D the lcm of every den.
 
     Multiplying by a positive D preserves order and equality, so any
     comparison, ``bisect`` or membership test gives the same answer on the
     scaled integers as on the rationals.
     """
-    D = math.lcm(*(q.denominator for row in rows for q in row))
-    return D, [[q.numerator * (D // q.denominator) for q in row] for row in rows]
+    D = math.lcm(*(d for row in rows for _, d in row))
+    return D, [[n * (D // d) for n, d in row] for row in rows]
 
 
 def scaled_pair_ops(
-    T: OrdinalSumTNorm, pts: Sequence[Rat], vals: Sequence[Rat]
+    T: OrdinalSumTNorm, pts: Sequence[tuple[int, int]], vals: Sequence[tuple[int, int]]
 ) -> tuple[int, list[int], list[int], list[int], Callable, Callable]:
     """(D, pts*D, vals*D, ends*D, conj, res) for the grid loops, on integers.
 
-    ``D`` is the lcm of the denominators of the points, the values and the
-    summand endpoints; ``ends`` lists lo, hi of each summand in order.
+    ``D`` is the lcm of the denominators of the (num, den) pairs ``pts``,
+    ``vals`` and the summand endpoints; ``ends`` lists lo, hi of each summand in order.
     ``res(a, b)`` is the residuum a -> b for scaled a > b; ``conj(f, n, d)``
     is the t-norm of a scaled value f and the value n/(d*D).  Both return a pair (n, d) and re-derive the ordinal-sum
     formulas without calling ``T``.
     """
-    ends = [e for s in T.summands for e in (s.lo, s.hi)]
+    ends = [e.as_integer_ratio() for s in T.summands for e in (s.lo, s.hi)]
     D, (P, V, E) = _scale_to_lcm(pts, vals, ends)
     summs = tuple(
         (lo, hi, s.kind is SummandKind.LUKASIEWICZ)
@@ -171,6 +171,7 @@ def verify_adjunction(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
     those, so the same rows then meet exact laws (:func:`_broken_laws`).
     """
     pts = grid.points(T)
+    ratios = [x.as_integer_ratio() for x in pts]
     n = len(pts)
     conj_rows: list[list[Rat]] = []
     broken: list[CheckReport] = []
@@ -179,7 +180,7 @@ def verify_adjunction(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
         res_row = [T.residuum(x, z) for z in pts]
         conj_rows.append(conj_row)
         broken += _broken_laws(T, pts, conj_rows, res_row)
-        _, (P, C, R) = _scale_to_lcm(pts, conj_row, res_row)
+        _, (P, C, R) = _scale_to_lcm(ratios, *([q.as_integer_ratio() for q in row] for row in (conj_row, res_row)))
         for j, y in enumerate(P):
             kc = bisect.bisect_left(P, C[j])
             kr = bisect.bisect_left(R, y)
@@ -273,20 +274,30 @@ def verify_sandwich(T: OrdinalSumTNorm, grid: GridSpec) -> CheckReport:
 # definitional falsifiers
 
 
-def _grid_values(f: PwFn, pts: Sequence[Rat]) -> list[Rat]:
-    """[f.eval(p) for p in pts] for ascending ``pts``, in one pass over the
-    breakpoints of f; a point off f's domain raises the DomainError of
-    ``f.eval`` for the first such point."""
-    lo, hi = f.lo, f.hi
-    if pts[0] < lo or pts[-1] > hi:
-        f.eval(pts[0] if pts[0] < lo else pts[bisect.bisect_right(pts, hi)])
-    bps, pieces = f.breakpoints, f.pieces
-    out = []
-    i = 0
-    for p in pts:
-        while bps[i].x < p:
-            i += 1
-        out.append(bps[i].at if bps[i].x == p else pieces[i - 1](p))
+def _grid_values(f: PwFn, D: int, P: Sequence[int]) -> list[tuple[int, int]]:
+    """f(p/D) as a reduced (num, den), den > 0, for each p of the ascending
+    ``P``, in one pass over f's breakpoints: a breakpoint's ``at`` ratio, or
+    (A*p + B*D)/(C*p + E*D) on a piece (a*x + b)/(c*x + d), with A, B, C, E
+    its coefficients times the lcm of their denominators.  A point off f's
+    domain raises the DomainError of ``f.eval`` for the first such point."""
+    bps = f.breakpoints
+    X = [bp.x.numerator * (D // bp.x.denominator) for bp in bps]
+    if P[0] < X[0] or P[-1] > X[-1]:
+        f.eval(Fraction(P[0] if P[0] < X[0] else P[bisect.bisect_right(P, X[-1])], D))
+    out, i = [], 0
+    for p in P:
+        if X[i] < p:
+            while X[i] < p:
+                i += 1
+            pc = f.pieces[i - 1]
+            L = math.lcm(pc.a.denominator, pc.b.denominator, pc.c.denominator, pc.d.denominator)
+            A, B, C, E = (int(q * L) for q in (pc.a, pc.b * D, pc.c, pc.d * D))
+        if X[i] == p:
+            out.append(bps[i].at.as_integer_ratio())
+        else:
+            num, den = A * p + B, C * p + E
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            out.append((num // g, den // g))
     return out
 
 
@@ -337,14 +348,14 @@ def _falsify_pairs(T: OrdinalSumTNorm, f: PwFn, grid: GridSpec, lower: bool) -> 
     """The monotone part, then the rows that the falsifier docstrings split:
     pairs within the summand of x by :func:`_summand_row`, the rest by the
     scaled ``conj``/``res``, which also give the witness lhs."""
-    pts = grid.points(T, f)
-    vals = _grid_values(f, pts)
-    D, P, V, E, conj, res = scaled_pair_ops(T, pts, vals)
-    n = len(pts)
+    D, P = grid.scaled(T, f)
+    D, P, V, E, conj, res = scaled_pair_ops(T, [(p, D) for p in P], _grid_values(f, D, P))
+    n = len(P)
     for i in range(n - 1):
         if (V[i] < V[i + 1]) if lower else (V[i] > V[i + 1]):
             a, b = (i + 1, i) if lower else (i, i + 1)
-            wit = PairWitness(pts[a], pts[b], vals[a], vals[b], vals[a], vals[b], "<=")
+            xa, xb, fa, fb = (Fraction(k, D) for k in (P[a], P[b], V[a], V[b]))
+            wit = PairWitness(xa, xb, fa, fb, fa, fb, "<=")
             return violated("DEF", wit, detail="definitional falsifier (monotone part)")
     luk = [s.kind is SummandKind.LUKASIEWICZ for s in T.summands]
     for ix in range(n) if lower else range(n - 1, -1, -1):
@@ -366,7 +377,8 @@ def _falsify_pairs(T: OrdinalSumTNorm, f: PwFn, grid: GridSpec, lower: bool) -> 
                 break
         if hit is not None:
             num, den = conj(fx, *(res(P[hit], x) if lower else res(x, P[hit])))
-            wit = PairWitness(pts[ix], pts[hit], vals[ix], vals[hit], Fraction(num, den * D), vals[hit], "<=")
+            xa, xb, fa, fb = (Fraction(k, D) for k in (P[ix], P[hit], V[ix], V[hit]))
+            wit = PairWitness(xa, xb, fa, fb, Fraction(num, den * D), fb, "<=")
             return violated("DEF", wit, detail=f"definitional falsifier, grid n={grid.resolution}")
     return CheckReport(True, detail=f"no counterexample among {n}^2 sampled pairs")
 
@@ -463,14 +475,10 @@ def random_pwfn(rng: random.Random) -> PwFn:
     xs = sorted({ZERO, ONE} | {random_rat(rng) for _ in range(rng.randint(0, 4))})
     bps = []
     for i, x in enumerate(xs):
-        vals = [random_rat(rng)]
+        vals = [random_rat(rng)] * 3
         if rng.random() < 0.4:
             vals = [random_rat(rng) for _ in range(3)]
-        if len(vals) == 1:
-            left = at = right = vals[0]
-        else:
-            left, at, right = vals
-        bps.append(Breakpoint(x, left, at, right))
+        bps.append(Breakpoint(x, *vals))
     return pwfn(bps)
 
 
@@ -677,9 +685,6 @@ class HarnessReport:
     def ok(self) -> bool:
         return self.disagreements == 0
 
-    def add(self, line: str) -> None:
-        self.lines.append(line)
-
     def text(self) -> str:
         return "\n".join(self.lines)
 
@@ -721,14 +726,7 @@ def equivalence_harness(
     grid = GridSpec(grid_resolution)
     for fi, T in enumerate(tnorms):
         rng = random.Random(cfg.seed * 1000003 + fi)
-        bad = 0
-        first = ""
-
-        def note(msg: str) -> None:
-            nonlocal bad, first
-            bad += 1
-            first = first or msg
-
+        notes: list[str] = []
         for t in range(cfg.trials):
             lower_candidate = t % 2 == 0
             roll = rng.random()
@@ -747,36 +745,33 @@ def equivalence_harness(
             if verdict.holds:
                 fal = falsify(T, f, grid)
                 if not fal.holds:
-                    note(f"{kind} holds yet grid found {fal.describe()}")
+                    notes.append(f"{kind} holds yet grid found {fal.describe()}")
             elif not revalidate_witness(T, f, verdict, lower=lower_candidate):
-                note(f"{kind} witness fails recheck: {verdict.describe()}")
+                notes.append(f"{kind} witness fails recheck: {verdict.describe()}")
         flats = flat_candidates(T, rng, 3)
         for phi in flats:
             verdict = check_flat(T, phi)
             if not verdict.holds:
-                note(f"constructed flat rejected: {verdict.describe()}")
+                notes.append(f"constructed flat rejected: {verdict.describe()}")
                 continue
             fal = falsify_flat(T, phi, TrialConfig(12, rng.randrange(1 << 30)))
             if not fal.holds:
-                note(f"flat holds yet trials found {fal.describe()}")
+                notes.append(f"flat holds yet trials found {fal.describe()}")
         for rule in ("F1", "F2", "F3"):
             phi = mutated_flat(T, rng, rule)
             if phi is None:
                 continue
             verdict = check_flat(T, phi)
             if verdict.holds or verdict.rule != rule:
-                note(f"{rule} mutant misreported as {verdict.describe()}")
+                notes.append(f"{rule} mutant misreported as {verdict.describe()}")
             elif rule in ("F2", "F3") and not isinstance(verdict.witness, TensorWitness):
-                note(f"{rule} mutant lacks a tensor witness")
-        rep.disagreements += bad
-        status = "PASS" if bad == 0 else "FAIL"
+                notes.append(f"{rule} mutant lacks a tensor witness")
+        rep.disagreements += len(notes)
         line = (
-            f"{status} family={T.describe()} candidates={cfg.trials}"
-            f" grid_n={grid_resolution} disagreements={bad}"
+            f"{'FAIL' if notes else 'PASS'} family={T.describe()} candidates={cfg.trials}"
+            f" grid_n={grid_resolution} disagreements={len(notes)}"
         )
-        if first:
-            line += f" first: {first}"
-        rep.add(line)
+        rep.lines.append(f"{line} first: {notes[0]}" if notes else line)
     return rep
 
 

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ from qflat.ideal import check_flat
 from qflat.oracle import (
     GridSpec,
     TrialConfig,
+    _grid_values,
     _monotone_mesh,
     _repaired_upper,
     equivalence_harness,
@@ -29,6 +31,7 @@ from qflat.oracle import (
     verify_sandwich,
 )
 from qflat.order import check_lower_set, check_upper_set, principal_lower
+from qflat.pwfn import linfrac
 from qflat.rat import ONE, ZERO, DomainError
 from qflat.report import CheckReport, PointWitness, violated
 from qflat.tnorms import OrdinalSumTNorm, SummandKind
@@ -369,7 +372,7 @@ def _kernel_matches_definition(T, f, grid, lower, regions=None):
     """
     pts = grid.points(T, f)
     vals = [f.eval(p) for p in pts]
-    D, P, V, E, conj, res = scaled_pair_ops(T, pts, vals)
+    D, P, V, E, conj, res = scaled_pair_ops(T, [p.as_integer_ratio() for p in pts], [v.as_integer_ratio() for v in vals])
     n = len(pts)
     if lower:
         pairs = [(ix, iy) for ix in range(n) for iy in range(ix + 1, n)]
@@ -466,7 +469,59 @@ def fraction_points(n, T, f):
     return sorted(pts)
 
 
+def pole_fns():
+    """1/(2 - x), whose pole lies right of [0, 1], and 1/(1 + x), whose
+    pole lies left of it: c*x + d < 0 on the first, > 0 on the second."""
+    half = F(1, 2)
+    return (
+        pwfn([Breakpoint(ZERO, half, half, half), Breakpoint(ONE, ONE, ONE, ONE)], [linfrac(ZERO, -ONE, ONE, F(-2))]),
+        pwfn([Breakpoint(ZERO, ONE, ONE, ONE), Breakpoint(ONE, half, half, half)], [linfrac(ZERO, ONE, ONE, ONE)]),
+    )
+
+
 class TestGridKernel:
+    def test_grid_values_are_the_reduced_ratios_of_f(self):
+        """_grid_values reads f at every grid point as f.eval does, as a
+        reduced (num, den) pair with den > 0: at breakpoints, on affine and
+        fractional pieces, and on pieces whose c*x + d is negative."""
+        rng = random.Random(29)
+        seen = Counter()
+        for trial in range(12):
+            T = random_tnorm(rng) if trial % 2 else tnorm_over_997(rng)
+            for f in (random_lower(T, rng), random_upper(T, rng), random_pwfn(rng), *pole_fns()):
+                xs = f.positions()
+                for n in [*range(1, 14), 64, 128]:
+                    D, P = GridSpec(n).scaled(T, f)
+                    assert _grid_values(f, D, P) == [f.eval(F(p, D)).as_integer_ratio() for p in P]
+                    for p in P:
+                        k = bisect.bisect_left(xs, F(p, D))
+                        piece = None if xs[k] == F(p, D) else f.pieces[k - 1]
+                        seen["breakpoint" if piece is None else "fractional" if piece.c else "affine"] += 1
+                        seen["negative"] += piece is not None and piece.c * F(p, D) + piece.d < 0
+        assert min(seen[k] for k in ("breakpoint", "affine", "fractional", "negative")) > 0, seen
+
+    def test_falsifier_outcomes_are_pinned(self):
+        """(holds, rule, detail, repr(witness)) of 1,008 seeded falsifier
+        calls over the three generators and the fractional poles, hashed."""
+        rng = random.Random(2029)
+        digest = hashlib.sha256()
+        for trial in range(504):
+            T = (random_tnorm, tnorm_over_997, lambda rng: rng.choice([GODEL, PRODUCT, LUKASIEWICZ]))[trial % 3](rng)
+            style = trial % 5
+            if style == 0:
+                f = random_lower(T, rng)
+            elif style == 1:
+                f = random_upper(T, rng)
+            elif style == 2:
+                f = random_pwfn(rng)
+            else:
+                f = pole_fns()[style - 3]
+            grid = GridSpec(rng.randint(1, 128))
+            for falsify in (falsify_lower_set, falsify_upper_set):
+                rep = falsify(T, f, grid)
+                digest.update(repr((rep.holds, rep.rule, rep.detail, repr(rep.witness))).encode())
+        assert digest.hexdigest() == "1a3210faad35edfc33bde366ec39e06285db6936a8090ef59d384e2b2a28d977"
+
     def test_points_match_the_fraction_construction(self):
         rng = random.Random(13)
         for trial in range(24):
@@ -660,6 +715,11 @@ class TestGenerators:
                 reps = flat_conditions(T, phi)
                 for r, rep in reps.items():
                     assert rep.holds == (r != rule), (T.describe(), rule, r)
+
+    def test_unknown_mutant_rule_is_refused(self):
+        with pytest.raises(DomainError) as err:
+            mutated_flat(GODEL, random.Random(0), "F4")
+        assert str(err.value) == "unknown flatness rule 'F4'"
 
     def test_random_tnorms_valid(self):
         rng = random.Random(35)
