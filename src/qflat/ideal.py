@@ -269,7 +269,7 @@ def pasted_flat(T: OrdinalSumTNorm, s: Summand, b: Rat) -> PwFn:
 
 def witness_upper_pair(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> tuple[PwFn, PwFn]:
     """The canonical falsifying pair: psi1 constant phi(c), psi2 = d_L(c, -)."""
-    c = Rat(ensure_unit(c, "witness point"))
+    c = ensure_unit(c, "witness point")
     return PwFn.constant(phi.eval(c)), principal_upper(T, c)
 
 
@@ -321,7 +321,7 @@ def restrict_ideal(T: OrdinalSumTNorm, phi: PwFn, c: Rat) -> PwFn:
     flat ideal of the ambient quantale.  The restriction is returned in
     frame coordinates (domain [c-, c+]); its value at c- is exactly c+.
     """
-    c = Rat(ensure_unit(c, "restriction point"))
+    c = ensure_unit(c, "restriction point")
     hull = T.idem_hull(c)
     if hull.degenerate:
         raise DomainError(f"{fmt_rat(c)} is idempotent; the frame is degenerate")

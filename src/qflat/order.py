@@ -110,7 +110,7 @@ def lower_profile(
 
 def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
     """The principal lower set y -> d_L(y, x0), built exactly."""
-    x0 = Rat(ensure_unit(x0, "principal point"))
+    x0 = ensure_unit(x0, "principal point")
     s = next((s for s in T.summands if s.lo <= x0 < s.hi), None)
     return pwfn(*lower_profile(s, x0, x0, ONE))
 
@@ -118,7 +118,7 @@ def principal_lower(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
 def principal_upper(T: OrdinalSumTNorm, x0: Rat) -> PwFn:
     """The principal upper set y -> d_L(x0, y), built exactly: y up to the
     summand (lo, hi] holding x0, the summand's x0 -> y on [lo, x0), then 1."""
-    x0 = Rat(ensure_unit(x0, "principal point"))
+    x0 = ensure_unit(x0, "principal point")
     if x0 == ZERO:
         return PwFn.constant(ONE)
     s = next((s for s in T.summands if s.lo < x0 <= s.hi), None)

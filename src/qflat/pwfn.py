@@ -8,10 +8,6 @@ rational coefficients: affine by default, or a linear-fractional segment
 implications of product-kind summands are exactly of that shape; they are
 closed under every operation in this package and all breakpoints stay
 rational.
-
-The text format (``fn`` / ``point`` stanzas) covers exactly the affine
-fragment; fractional pieces arise only from constructions, never from
-parsing.
 """
 
 from __future__ import annotations
@@ -23,17 +19,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._sup import SupResult, quad_roots
-from .rat import (
-    ONE,
-    ZERO,
-    DomainError,
-    ExactnessError,
-    ParseError,
-    Rat,
-    ensure_unit,
-    fmt_rat,
-    parse_rat,
-)
+from .rat import ONE, ZERO, DomainError, ExactnessError, Rat, ensure_unit, fmt_rat
 
 Side = str  # "below" | "at" | "above"
 
@@ -265,8 +251,8 @@ class PwFn:
 
     @staticmethod
     def constant(k: Rat, lo: Rat = ZERO, hi: Rat = ONE) -> "PwFn":
-        k = Rat(ensure_unit(k, "constant value"))
-        lo, hi = (Rat(ensure_unit(v, "domain endpoint")) for v in (lo, hi))
+        k = ensure_unit(k, "constant value")
+        lo, hi = (ensure_unit(v, "domain endpoint") for v in (lo, hi))
         if lo >= hi:
             raise DomainError("breakpoint positions must be strictly increasing")
         return _canon([Breakpoint(lo, k, k, k), Breakpoint(hi, k, k, k)], [const_piece(k)])
@@ -301,8 +287,8 @@ class PwFn:
         """Continuous piecewise-linear interpolation through (x, y) pairs."""
         bps = []
         for x, y in points:
-            y = Rat(ensure_unit(y, "point value"))
-            bps.append(Breakpoint(Rat(ensure_unit(x, "point")), y, y, y))
+            y = ensure_unit(y, "point value")
+            bps.append(Breakpoint(ensure_unit(x, "point"), y, y, y))
         return pwfn(bps)
 
     # -- evaluation ----------------------------------------------------------
@@ -359,7 +345,6 @@ class PwFn:
     def refine(self, positions: Iterable[Rat]) -> "PwFn":
         """Insert breakpoints at the given interior positions, exact points of
         [0,1] (no-op at the others)."""
-        # no integer is interior, so every position kept is a Fraction
         cuts = {p for p in positions if self.lo < ensure_unit(p, "breakpoint position") < self.hi}
         extra = sorted(cuts - set(self._xs))
         if not extra:
@@ -380,7 +365,7 @@ class PwFn:
     def restrict(self, lo: Rat, hi: Rat) -> "PwFn":
         """The restriction to [lo, hi] as a PwFn on that domain (self when
         that is already its domain)."""
-        lo, hi = (Rat(ensure_unit(v, "restriction bound")) for v in (lo, hi))
+        lo, hi = (ensure_unit(v, "restriction bound") for v in (lo, hi))
         if (lo, hi) == (self.lo, self.hi):
             return self
         if not (self.lo <= lo < hi <= self.hi):
@@ -408,19 +393,19 @@ def pwfn(
     """
     if len(points) < 2:
         raise DomainError("a PwFn needs at least the two domain endpoints")
-    pts = list(points)
-    for i in range(1, len(pts)):
-        if pts[i - 1].x >= pts[i].x:
+    xs = [ensure_unit(bp.x, "breakpoint position") for bp in points]
+    for u, v in zip(xs, xs[1:]):
+        if u >= v:
             raise DomainError("breakpoint positions must be strictly increasing")
-    first, last = pts[0], pts[-1]
-    pts[0] = Breakpoint(first.x, first.at, first.at, first.right)
-    pts[-1] = Breakpoint(last.x, last.left, last.at, last.at)
-    for bp in pts:
-        for v in (bp.left, bp.at, bp.right):
-            try:
-                ensure_unit(v)
-            except DomainError:  # the message names the position only on failure
-                ensure_unit(v, f"value at {fmt_rat(bp.x)}")
+    pts, last = [], len(xs) - 1
+    for i, (x, bp) in enumerate(zip(xs, points)):
+        # an end's outer limit is its own value
+        vals = (bp.at if i == 0 else bp.left, bp.at, bp.at if i == last else bp.right)
+        try:
+            pts.append(Breakpoint(x, *map(ensure_unit, vals)))
+        except DomainError:  # the message names the position only on failure
+            for v in vals:
+                ensure_unit(v, f"value at {fmt_rat(x)}")
 
     if pieces is None:
         pcs = []
@@ -549,79 +534,3 @@ def _pointwise(f: PwFn, g: PwFn, pick: Callable) -> PwFn:
                 bps.append(Breakpoint(v, *(fp(v),) * 3))
     return _canon(bps, pcs)
 
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def print_pwfn(f: PwFn, name: str) -> str:
-    """Render in the ``fn`` stanza format (affine pieces only)."""
-    for piece in f.pieces:
-        if not piece.is_affine:
-            raise ValueError(
-                "function has a non-linear piece; the text format is"
-                " piecewise-linear only"
-            )
-    lines = [f"fn {name}"]
-    last = len(f.breakpoints) - 1
-    for i, bp in enumerate(f.breakpoints):
-        vals = []
-        if i > 0:
-            vals.append(fmt_rat(bp.left))
-        vals.append(fmt_rat(bp.at))
-        if i < last:
-            vals.append(fmt_rat(bp.right))
-        lines.append(f"point {fmt_rat(bp.x)} : {' '.join(vals)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_pwfn_body(name: str, lines: Sequence[str]) -> PwFn:
-    """Parse the ``point`` lines of one ``fn`` stanza.
-
-    Every fault, a bad literal or a value outside [0,1] included, is a
-    :class:`ParseError` that names the stanza.
-    """
-    try:
-        return pwfn(_point_rows(lines))
-    except (DomainError, ParseError) as exc:
-        raise ParseError(f"fn {name}: {exc}") from None
-
-
-def _point_rows(lines: Sequence[str]) -> list[Breakpoint]:
-    rows: list[tuple[Rat, list[Rat]]] = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.startswith("point"):
-            raise ParseError(f"unexpected line {line!r}")
-        try:
-            head, vals = line[len("point"):].split(":", 1)
-        except ValueError:
-            raise ParseError(f"missing ':' in {line!r}") from None
-        x = ensure_unit(parse_rat(head), "breakpoint position")
-        values = [ensure_unit(parse_rat(tok), "breakpoint value") for tok in vals.split()]
-        if not 1 <= len(values) <= 3:
-            raise ParseError(f"expected 1-3 values, got {len(values)}")
-        rows.append((x, values))
-    if len(rows) < 2:
-        raise ParseError(f"needs at least points at both domain ends")
-    rows.sort(key=lambda r: r[0])
-    for (x, _), (y, _) in zip(rows, rows[1:]):
-        if x == y:
-            raise ParseError(f"duplicate point {fmt_rat(x)}")
-    bps = []
-    last = len(rows) - 1
-    for i, (x, values) in enumerate(rows):
-        expected = 3 - (i == 0) - (i == last)
-        if len(values) == 1:
-            values *= 3
-        elif len(values) == expected:  # an outer limit is the end's own value
-            values = values[:1] * (i == 0) + values + values[-1:] * (i == last)
-        else:
-            raise ParseError(
-                f"point {fmt_rat(x)} expects {expected} values"
-                f" (or 1), got {len(values)}"
-            )
-        bps.append(Breakpoint(x, *values))
-    return bps

@@ -89,13 +89,15 @@ def fmt_rat(value: Rat) -> str:
         raise DomainError(f"rational too long to print: {exc}") from None
 
 
-def ensure_unit(value: Rat, what: str = "value") -> Rat:
-    """``value`` itself when it is an int or a Fraction in [0,1].
+def ensure_unit(value: Rat, what: str = "value") -> Fraction:
+    """``value`` as a Fraction when it is an int or a Fraction in [0,1].
 
     Anything else, a float included, raises :class:`DomainError`.
     """
-    if not isinstance(value, (Fraction, int)):
-        raise DomainError(f"{what} {value!r} is not an exact rational")
+    if type(value) is not Fraction:  # the common case pays one type check
+        if not isinstance(value, (Fraction, int)):
+            raise DomainError(f"{what} {value!r} is not an exact rational")
+        value = Fraction(value)
     if not 0 <= value.numerator <= value.denominator:
         raise DomainError(f"{what} {fmt_rat(value)} outside [0,1]")
     return value

@@ -17,9 +17,9 @@ from .rat import Rat, fmt_rat
 
 @dataclass(frozen=True)
 class PairWitness:
-    """Two points a < b whose values break an order relation.
-
-    ``lhs <= rhs`` is the inequality that failed, already evaluated.
+    """The (x, y) of a definitional inequality that failed, in either order
+    (a lower-set L1 witness has a > b, as has an upper-set falsifier's row
+    pair).  ``lhs <= rhs`` is that inequality, already evaluated.
     """
 
     a: Rat

@@ -13,9 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .rat import ONE, ZERO, DomainError, ParseError, Rat, ensure_unit, fmt_rat, parse_rat
+from .rat import ONE, ZERO, DomainError, Rat, ensure_unit, fmt_rat
 
 
 class SummandKind(enum.Enum):
@@ -173,7 +173,7 @@ def make_tnorm(summands: Iterable[Summand | tuple]) -> OrdinalSumTNorm:
                 raise DomainError(f"summand row {s!r} is not a (lo, hi, kind) triple") from None
             if isinstance(kind, str):
                 kind = {k.value: k for k in SummandKind}.get(kind.lower(), kind)
-            lo, hi = (Rat(ensure_unit(v, "summand endpoint")) for v in (lo, hi))
+            lo, hi = (ensure_unit(v, "summand endpoint") for v in (lo, hi))
             s = Summand(lo, hi, kind)
         norm.append(s)
     norm.sort(key=lambda s: (s.lo, s.hi))
@@ -201,43 +201,3 @@ _BUILTINS = {
 def builtin(name: str) -> Optional[OrdinalSumTNorm]:
     return _BUILTINS.get(name.lower())
 
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def print_tnorm(t: OrdinalSumTNorm, name: str) -> str:
-    lines = [f"tnorm {name}"]
-    for s in t.summands:
-        lines.append(f"summand {fmt_rat(s.lo)} {fmt_rat(s.hi)} {s.kind.value}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_tnorm_body(name: str, lines: Sequence[str]) -> OrdinalSumTNorm:
-    """Parse the ``summand`` lines of one ``tnorm`` stanza.
-
-    The names godel, lukasiewicz and product with no summand lines expand
-    to their canonical forms; explicit summands under an alias name are
-    rejected to avoid shadowing surprises.
-    """
-    rows = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if toks[0] != "summand" or len(toks) != 4:
-            raise ParseError(f"tnorm {name}: unexpected line {line!r}")
-        rows.append(toks[1:])
-    alias = builtin(name)
-    if alias is not None:
-        if rows:
-            raise ParseError(
-                f"tnorm {name}: {name!r} is a builtin alias and cannot carry"
-                " explicit summands"
-            )
-        return alias
-    try:
-        return make_tnorm((parse_rat(lo), parse_rat(hi), kind) for lo, hi, kind in rows)
-    except (ParseError, DomainError) as exc:
-        raise ParseError(f"tnorm {name}: {exc}") from None

@@ -411,6 +411,29 @@ def test_only_pwfn_builds_a_pwfn_unvalidated():
     assert not calls, calls
 
 
+def test_only_the_text_readers_name_parse_errors():
+    """ParseError and parse_rat belong to reading text: rat.py defines them,
+    specfile.py reads spec files, cli.py reads expressions and arguments, and
+    __init__.py re-exports them from rat; no other module names them."""
+    import ast
+
+    named = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qflat").glob("*.py")):
+        if path.name in ("rat.py", "specfile.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if path.name == "__init__.py" and (node.level, node.module) == (1, "rat"):
+                    continue
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            named += [f"{path.name}:{node.lineno} {n}" for n in names if n in ("ParseError", "parse_rat")]
+    assert not named, named
+
+
 def test_package_has_no_unreferenced_private_definitions():
     """Every module-level private function or class of the package is named
     by some module of it outside its own definition; like the unused-import

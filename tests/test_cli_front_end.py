@@ -3,7 +3,7 @@
 A seeded corpus of expression strings and ``fn`` stanza bodies, good and bad,
 goes through the front end; each outcome is the parsed function's repr or
 the exception's type and message, and one digest over all of them changes
-if any outcome does.  Below it, the exact stderr of five exit-2 faults.
+if any outcome does.  Below it, the exact stderr of ten exit-2 faults.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import re
 import pytest
 
 from qflat import cli
-from qflat.pwfn import parse_pwfn_body
+from qflat.specfile import parse_pwfn_body
 
 SPEC = """\
 tnorm T
@@ -165,18 +165,28 @@ def test_front_end_outcomes_are_pinned(tmp_path, monkeypatch):
         (None, ["csv", "identity )"], "trailing input in expression: ')'"),
         (None, ["csv", "min(identity identity)"], "expected ',' at 'identity)'"),
         (None, ["csv", "sqrt(1/2)"], "unknown function expression 'sqrt'"),
-        ("point 0 1\npoint 1 : 0\n", ["check", "godel", "lower", "f"],
+        (None, ["csv", "min(" * 3000 + "identity"], "expression nested too deeply"),
+        ("fn f\npoint 0 1\npoint 1 : 0\n", ["check", "godel", "lower", "f"],
          "fn f: missing ':' in 'point 0 1'"),
-        ("point 0 : 1 1 1\npoint 1 : 0\n", ["check", "godel", "lower", "f"],
+        ("fn f\npoint 0 : 1 1 1\npoint 1 : 0\n", ["check", "godel", "lower", "f"],
          "fn f: point 0 expects 2 values (or 1), got 3"),
+        ("# lead\npoint 0 : 1\n", ["check", "godel", "lower", "identity"],
+         "line outside any stanza: 'point 0 : 1'"),
+        ("fn f g\npoint 0 : 1\n", ["check", "godel", "lower", "identity"],
+         "bad stanza header 'fn f g'"),
+        ("tnorm T\nsummand 0 1 product\ntnorm T\n", ["check", "T", "lower", "identity"],
+         "duplicate t-norm name 'T'"),
+        ("tnorm T\nsummand 0 1\n", ["check", "T", "lower", "identity"],
+         "tnorm T: unexpected line 'summand 0 1'"),
     ],
-    ids=["trailing_input", "expected_comma", "unknown_expression", "missing_colon",
-         "end_value_count"],
+    ids=["trailing_input", "expected_comma", "unknown_expression", "nested_too_deeply",
+         "missing_colon", "end_value_count", "outside_stanza", "bad_header",
+         "duplicate_tnorm", "tnorm_unexpected_line"],
 )
 def test_fault_exit_2(capsys, tmp_path, spec, argv, stderr):
     if spec is not None:
         path = tmp_path / "bad.spec"
-        path.write_text("fn f\n" + spec)
+        path.write_text(spec)
         argv = ["--spec", str(path), *argv]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

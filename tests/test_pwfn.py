@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflat import Breakpoint, DomainError, ExactnessError, PwFn, SupResult, make_tnorm, pwfn
+from qflat import GODEL, Breakpoint, DomainError, ExactnessError, PwFn, SupResult, make_tnorm, pwfn
 from qflat._sup import sup_ratfunc
 from qflat.ideal import _separating_pair, witness_upper_pair
 from qflat.oracle import (
@@ -19,7 +19,7 @@ from qflat.oracle import (
     random_tnorm,
     random_upper,
 )
-from qflat.order import principal_lower, principal_upper, restricted_cap, tensor
+from qflat.order import check_lower_set, principal_lower, principal_upper, restricted_cap, tensor
 from qflat.pwfn import (
     LinFrac,
     _with_level,
@@ -29,11 +29,10 @@ from qflat.pwfn import (
     gap_probes,
     linfrac,
     merged,
-    parse_pwfn_body,
     pointwise_max,
     pointwise_min,
-    print_pwfn,
 )
+from qflat.specfile import parse_pwfn_body, print_pwfn
 from qflat.tnorms import SummandKind
 
 from conftest import equal_points, tnorm_over_997
@@ -518,6 +517,14 @@ INPUT_ERRORS = {
         "restriction window not inside the domain",
     ),
     "side": (lambda: PwFn.identity().eval(F(1, 2), "left"), "unknown side 'left'"),
+    "float-position": (
+        lambda: pwfn([Breakpoint(0, 1, 1, 1), Breakpoint(0.1, 1, 1, 1), Breakpoint(1, 0, 0, 0)]),
+        "breakpoint position 0.1 is not an exact rational",
+    ),
+    "position-outside": (
+        lambda: pwfn([Breakpoint(-1, 0, 0, 0), Breakpoint(2, 1, 1, 1)]),
+        "breakpoint position -1 outside [0,1]",
+    ),
 }
 
 
@@ -548,6 +555,16 @@ class TestValidation:
         with pytest.raises(DomainError) as err:
             build()
         assert str(err.value) == message
+
+    def test_int_built_function_holds_only_fractions(self):
+        f = pwfn([Breakpoint(0, 0, 0, 0), Breakpoint(F(1, 2), 0, 1, 1), Breakpoint(1, 1, 1, 1)])
+        assert {type(v) for bp in f.breakpoints for v in (bp.x, bp.left, bp.at, bp.right)} == {F}
+        report = check_lower_set(GODEL, f)
+        assert report.rule == "L1"
+        w = report.witness
+        fields = (w.a, w.b, w.value_a, w.value_b, w.lhs, w.rhs)
+        assert fields == (F(1, 2), F(1, 4), 1, 0, 1, 0)
+        assert {type(v) for v in fields} == {F}
 
     def test_collinear_merge(self):
         f = pwfn(

@@ -12,7 +12,8 @@ from qflat.ideal import restrict_ideal, witness_upper_pair
 from qflat.order import principal_lower, principal_upper
 from qflat.oracle import random_rat, random_tnorm
 from qflat.rat import ONE, fmt_rat, parse_rat
-from qflat.tnorms import Frame, Summand, SummandKind, builtin, parse_tnorm_body, print_tnorm
+from qflat.specfile import parse_tnorm_body, print_tnorm
+from qflat.tnorms import Frame, Summand, SummandKind, builtin
 
 from conftest import brute_residuum, grid, tnorm_over_997
 
