@@ -213,7 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok, lines = True, []
     for suite in suites:
         if suite == "equivalence":
-            harness = equivalence_harness(families, cfg, grid_resolution=args.grid)
+            harness = equivalence_harness(families, cfg, grid)
             ok &= harness.ok
             lines += [f"{ln} suite=equivalence" for ln in harness.lines]
             continue

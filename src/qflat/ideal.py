@@ -170,27 +170,24 @@ def _check_f1(phi: PwFn) -> CheckReport:
 
 
 def _check_f2(T: OrdinalSumTNorm, phi: PwFn, walk: tuple) -> CheckReport:
-    points, gaps = walk
-    for c, fc, _, cplus in points:
-        if fc >= cplus and not T.is_idempotent(fc):
-            return _f2_violation(T, phi, c, cplus)
-    for p, q, piece, s in gaps:
-        m = (p + q) / 2
-        fm = piece(m)
-        if fm < (s.hi if s else m):
+    """Points first, then gaps, whose records lead with (m, f(m), m-, m+):
+    a point or a constant gap is checked there, and a rising or falling
+    gap at a value it takes inside a summand."""
+    for c, fc, lo, hi, *gap in chain(*walk):
+        if fc < hi:
             continue
-        if piece.is_const:
-            if not T.is_idempotent(fm):
-                return _f2_violation(T, phi, m, s.hi if s else m)
+        if not gap or gap[2].is_const:
+            if not T.is_idempotent(fc):
+                return _f2_violation(T, phi, c, hi)
             continue
+        p, q, piece = gap
         va, vb = sorted((piece(p), piece(q)))
         for summand in T.summands:
             w_lo, w_hi = max(va, summand.lo), min(vb, summand.hi)
             if w_lo < w_hi:
-                target = (w_lo + w_hi) / 2
-                c = _solve_eq(piece, target)
-                assert c is not None and p < c < q
-                return _f2_violation(T, phi, c, s.hi if s else c)
+                x = _solve_eq(piece, (w_lo + w_hi) / 2)
+                assert x is not None and p < x < q
+                return _f2_violation(T, phi, x, hi if lo < hi else x)
     return HOLDS
 
 
@@ -361,14 +358,10 @@ def k_set(T: OrdinalSumTNorm, phi: PwFn) -> KSet:
     """The exact set {x : phi(x) >= x+} as finitely many intervals."""
     points, gaps = hull_walk(T, phi)
     atoms: list[tuple[Rat, bool, Rat, bool]] = []
-    for i, (c, fc, _, cplus) in enumerate(points):
+    # points and gaps alternate; a gap's record ends with (p, q, piece)
+    for c, fc, _, cplus, *gap in [*chain.from_iterable(zip(points, gaps)), points[-1]]:
         if fc >= cplus:
-            atoms.append((c, True, c, True))
-        if i < len(gaps):
-            p, q, piece, s = gaps[i]
-            m = (p + q) / 2
-            if piece(m) >= (s.hi if s else m):
-                atoms.append((p, False, q, False))
+            atoms.append((gap[0], False, gap[1], False) if gap else (c, True, c, True))
     runs: list[list] = []
     for lo, lc, hi, hc in atoms:
         if runs and runs[-1][2] == lo and (runs[-1][3] or lc):

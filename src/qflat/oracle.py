@@ -711,19 +711,18 @@ def revalidate_witness(
 def equivalence_harness(
     tnorms: Sequence[OrdinalSumTNorm],
     cfg: TrialConfig,
-    grid_resolution: int = 128,
+    grid: GridSpec,
 ) -> HarnessReport:
     """Cross-validate the exact checkers against the definitional oracles.
 
     Per t-norm family: random candidates are pushed through both the
     characterization checkers and the grid falsifiers; a holding checker
-    verdict must produce no grid counterexample, a violating one must
+    verdict must produce no counterexample on ``grid``, a violating one must
     carry a definitionally re-checkable witness.  A smaller flat-ideal
     round does the same for check_flat versus 12 sampled upper pairs for
     each of 3 constructed flats.
     """
     rep = HarnessReport()
-    grid = GridSpec(grid_resolution)
     for fi, T in enumerate(tnorms):
         rng = random.Random(cfg.seed * 1000003 + fi)
         notes: list[str] = []
@@ -769,7 +768,7 @@ def equivalence_harness(
         rep.disagreements += len(notes)
         line = (
             f"{'FAIL' if notes else 'PASS'} family={T.describe()} candidates={cfg.trials}"
-            f" grid_n={grid_resolution} disagreements={len(notes)}"
+            f" grid_n={grid.resolution} disagreements={len(notes)}"
         )
         rep.lines.append(f"{line} first: {notes[0]}" if notes else line)
     return rep

@@ -251,7 +251,9 @@ def hull_walk(T: OrdinalSumTNorm, f: PwFn) -> tuple[list[tuple], list[tuple]]:
     f against the idempotent hull can change: breakpoints, summand endpoints,
     and where f meets the identity on an idempotent gap or the constants
     s.lo and s.hi inside a summand s.  Returns one (c, f(c), c-, c+) per
-    position and one (p, q, piece, summand or None) per gap between them.
+    position and one (m, f(m), m-, m+, p, q, piece) per gap (p, q) between
+    them: m is its midpoint, (m-, m+) is (s.lo, s.hi) inside a summand s and
+    (m, m) otherwise, so a gap leads with a point's fields and is read once.
 
     L2/U2 and L4 compare f with s.lo, F2 and k_set with s.hi, each reading
     points first, then gaps.  An s.hi cut splits only a gap where f >= s.lo,
@@ -283,11 +285,11 @@ def hull_walk(T: OrdinalSumTNorm, f: PwFn) -> tuple[list[tuple], list[tuple]]:
             else:
                 meets = ((_solve_eq(piece, k), k) for k in (s.lo, s.hi))
                 roots = sorted((x, k, s.lo, s.hi) for x, k in meets if x is not None and p < x < q)
-            for root in roots:
-                gaps.append((p, root[0], piece, s))
-                points.append(root)
-                p = root[0]
-            gaps.append((p, q, piece, s))
+            ends = [p, *(x for x, *_ in roots), q]
+            for a, b in zip(ends, ends[1:]):
+                m = (a + b) / 2
+                gaps.append((m, piece(m), *((s.lo, s.hi) if s else (m, m)), a, b, piece))
+            points += roots
             p, fp = q, piece(q)
     points.append((ONE, bps[-1].at, ONE, ONE))
     return points, gaps
@@ -366,7 +368,7 @@ def _floor_report(points: list, gaps: list, lower: bool) -> Optional[CheckReport
     """L2 for a lower set: f(c) <= c- forces f(c) = f(1).  U2 for an upper
     set, where only f(c) < c- (strict) forces it.  The points and gaps are
     those of hull_walk(T, f); a report reads c- from its point, and from a
-    gap's probe t it reads s.lo inside a summand s and t itself otherwise."""
+    gap's probe t it reads the gap's m- inside a summand and t otherwise."""
     rule, name, below = ("L2", "phi", operator.le) if lower else ("U2", "psi", operator.lt)
     f1 = points[-1][1]
 
@@ -377,12 +379,10 @@ def _floor_report(points: list, gaps: list, lower: bool) -> Optional[CheckReport
     for c, fc, cminus, _ in points:
         if below(fc, cminus) and fc != f1:
             return report(c, fc, cminus)
-    for p, q, piece, s in gaps:
-        m = (p + q) / 2
-        fm = piece(m)
-        if below(fm, s.lo if s else m) and not (piece.is_const and fm == f1):
+    for _, fm, lo, hi, p, q, piece in gaps:
+        if below(fm, lo) and not (piece.is_const and fm == f1):
             t = next(t for t in gap_probes(p, q) if piece(t) != f1)
-            return report(t, piece(t), s.lo if s else t)
+            return report(t, piece(t), t if lo == hi else lo)
     return None
 
 
@@ -431,11 +431,8 @@ def _set_report(T: OrdinalSumTNorm, f: PwFn, lower: bool) -> tuple[CheckReport, 
     if rep is None and lower:
         # L4: idempotent c with phi(c) >= c forces phi(1) >= c
         at = (c for c, fc, cminus, cplus in points if cminus == cplus and fc >= c > f1)
-        inside = (
-            (max(p, f1) + q) / 2
-            for p, q, piece, s in gaps
-            if s is None and piece((p + q) / 2) >= (p + q) / 2 and f1 < q
-        )
+        # phi >= id on an idempotent gap (p, q) gives phi(p) >= p, so p fired unless p <= phi(1)
+        inside = ((f1 + q) / 2 for m, fm, lo, hi, _, q, _ in gaps if lo == hi and fm >= m and f1 < q)
         c = next(chain(at, inside), None)
         if c is not None:
             rep = violated("L4", PointWitness(c, (("phi(c)", f.eval(c)), ("phi(1)", f1))))

@@ -32,8 +32,8 @@ class Summand:
     def __post_init__(self):
         if not isinstance(self.kind, SummandKind):
             raise DomainError(f"unknown summand kind {self.kind!r}")
-        ensure_unit(self.lo, "summand endpoint")
-        ensure_unit(self.hi, "summand endpoint")
+        for end in ("lo", "hi"):  # stored as Fractions: conj returns s.lo at the Lukasiewicz floor
+            object.__setattr__(self, end, ensure_unit(getattr(self, end), "summand endpoint"))
         if self.lo >= self.hi:
             raise DomainError(
                 f"summand ({fmt_rat(self.lo)}, {fmt_rat(self.hi)}) is not a"

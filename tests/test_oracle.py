@@ -731,12 +731,12 @@ class TestGenerators:
 
 class TestHarness:
     def test_zero_disagreements(self, families):
-        rep = equivalence_harness(families[:4], TrialConfig(20, seed=42), grid_resolution=48)
+        rep = equivalence_harness(families[:4], TrialConfig(20, seed=42), GridSpec(48))
         assert rep.ok, rep.text()
 
     def test_deterministic(self, families):
-        a = equivalence_harness(families[:2], TrialConfig(10, seed=7), grid_resolution=32)
-        b = equivalence_harness(families[:2], TrialConfig(10, seed=7), grid_resolution=32)
+        a = equivalence_harness(families[:2], TrialConfig(10, seed=7), GridSpec(32))
+        b = equivalence_harness(families[:2], TrialConfig(10, seed=7), GridSpec(32))
         assert a.text() == b.text()
 
     def test_disagreement_is_reported(self, monkeypatch, capsys):
@@ -746,7 +746,7 @@ class TestHarness:
         from qflat.report import HOLDS
 
         monkeypatch.setattr(qflat.oracle, "check_lower_set", lambda T, f: HOLDS)
-        rep = equivalence_harness([GODEL], TrialConfig(10, seed=1), grid_resolution=16)
+        rep = equivalence_harness([GODEL], TrialConfig(10, seed=1), GridSpec(16))
         assert not rep.ok and rep.disagreements == 2
         assert rep.lines[0].startswith(
             "FAIL family=min candidates=10 grid_n=16 disagreements=2"
@@ -754,6 +754,36 @@ class TestHarness:
         )
         assert main(["verify", "--suite", "equivalence"]) == 1
         assert "FAIL family=min" in capsys.readouterr().out
+
+    def test_every_disagreement_is_reported(self, monkeypatch):
+        """Each stub below makes one disagreement the first of the family
+        line; a violation with no witness of a known type fails the
+        recheck, so revalidate_witness's last branch runs."""
+        import qflat.oracle
+        from qflat.report import HOLDS
+
+        real_flat = qflat.oracle.check_flat
+        rejected = violated("F1", PointWitness(ZERO, (("phi(0)", ZERO),)))
+
+        def pointed_flat(T, phi):
+            rep = real_flat(T, phi)
+            return rep if rep.holds else violated(rep.rule, PointWitness(ZERO))
+
+        cases = [
+            ("check_lower_set", lambda T, f: violated("L1"), "lower witness fails recheck: VIOLATED L1"),
+            ("check_flat", lambda T, phi: rejected, "constructed flat rejected: VIOLATED F1 c=0 phi(0)=0"),
+            ("falsify_flat", lambda T, phi, cfg: rejected, "flat holds yet trials found VIOLATED F1 c=0"),
+            ("check_flat", lambda T, phi: HOLDS, "F1 mutant misreported as HOLDS"),
+            ("check_flat", pointed_flat, "F3 mutant lacks a tensor witness"),
+        ]
+        for name, stub, first in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(qflat.oracle, name, stub)
+                rep = equivalence_harness([PRODUCT], TrialConfig(10, seed=1), GridSpec(16))
+            assert not rep.ok
+            head, note = rep.lines[0].split(" first: ")
+            assert head.startswith("FAIL family=(0,1,product) candidates=10 grid_n=16 disagreements=")
+            assert note.startswith(first), (name, note)
 
     def test_dropping_l4_would_disagree(self):
         # an L4-only violator: the exact checker reports L4, while the grid

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, pwfn
+from qflat import GODEL, LUKASIEWICZ, PRODUCT, Breakpoint, PwFn, make_tnorm, pwfn
 from qflat._sup import quad_roots
-from qflat.ideal import check_flat, k_set
+from qflat.ideal import _check_f2, check_flat, k_set
 from qflat.oracle import (
     flat_candidates,
     mutated_flat,
@@ -23,6 +23,7 @@ from qflat.oracle import (
 )
 from qflat.order import (
     _conj_gap_sup,
+    _floor_report,
     _frame_report,
     _gap_walk,
     _min_gap_sup,
@@ -570,6 +571,21 @@ class TestCheckLowerSet:
         c = rep.witness.c
         assert GODEL.is_idempotent(c) and phi.eval(c) >= c > phi.eval(F(1))
 
+    @pytest.mark.parametrize("summands", [[], [(F(3, 4), F(1), "product")]], ids=["godel", "product_on_top"])
+    def test_l4_inside_an_idempotent_gap(self, summands):
+        # no point fires: phi(0) = 1 but 0 is not above phi(1) = 1/4, and
+        # phi(1/2) = 1/4 < 1/2; phi >= id on the idempotent gap (0, 1/2)
+        # gives the witness halfway between phi(1) and 1/2
+        phi = pwfn(
+            [
+                Breakpoint(F(0), F(1), F(1), F(1)),
+                Breakpoint(F(1, 2), F(1), F(1, 4), F(1, 4)),
+                Breakpoint(F(1), F(1, 4), F(1, 4), F(1, 4)),
+            ]
+        )
+        rep = check_lower_set(make_tnorm(summands), phi)
+        assert rep.describe() == "VIOLATED L4 c=3/8 phi(c)=1 phi(1)=1/4"
+
     def test_constants_are_lower_sets(self, families):
         for T in families:
             assert check_lower_set(T, PwFn.constant(F(2, 5))).holds
@@ -949,9 +965,10 @@ def hull_walk_inputs(T, rng):
 
 @pytest.mark.parametrize("draw", [random_tnorm, tnorm_over_997], ids=lambda d: d.__name__)
 def test_hull_walk_matches_the_reference(draw):
-    """One pass gives the positions, values, hulls, gap pieces and gap
-    summands that sorting the positions and looking each up again gives,
-    and refuses an irrational meeting exactly when that route does."""
+    """One pass gives the positions, values, hulls, gap pieces, gap
+    midpoints with their values and hulls, and gap summands that sorting
+    the positions and looking each up again gives, and refuses an
+    irrational meeting exactly when that route does."""
     seen = Counter()
     for seed in range(40):
         rng = random.Random(seed)
@@ -975,10 +992,12 @@ def test_hull_walk_matches_the_reference(draw):
                 assert (fc, lo, hi) == (f.eval(c), hull.lo, hull.hi)
                 if c not in ends and c not in xs:
                     seen["root inside a summand" if lo < hi else "root on an idempotent gap"] += 1
-            assert [(p, q) for p, q, _, _ in gaps] == list(zip(ref, ref[1:]))
-            for p, q, piece, s in gaps:
+            assert [(p, q) for *_, p, q, _ in gaps] == list(zip(ref, ref[1:]))
+            for m, fm, lo, hi, p, q, piece in gaps:
+                s, hull = reference_gap_summand(T, p, q), T.idem_hull(m)
                 assert piece == reference_piece_over(f, p)
-                assert s == reference_gap_summand(T, p, q)
+                assert (m, fm, lo, hi) == ((p + q) / 2, f.eval(m), hull.lo, hull.hi)
+                assert (lo, hi) == ((s.lo, s.hi) if s else (m, m))
                 if s is not None and {p, q}.isdisjoint(ends | set(xs)):
                     seen["summand gap cut at both s.lo and s.hi"] += 1
     assert len(seen) == 6 and min(seen.values()) > 0, seen
@@ -1014,6 +1033,44 @@ def test_holding_inputs_need_no_hull_lookup(monkeypatch):
             assert k_set(T, f).intervals
     for check, T, f, rep in violations:
         assert check(T, f) == rep
+
+
+def test_gap_readers_take_each_gap_from_the_walk(monkeypatch):
+    """Given a prebuilt walk of a holding set, the L2/U2 report and F2
+    evaluate no piece at a gap midpoint: the walk already read f there."""
+    rng = random.Random(19)
+    cases = []
+    for fam in range(16):
+        T = random_tnorm(rng) if fam % 2 else tnorm_over_997(rng)
+        cases += [(T, f, True) for f in [random_lower(T, rng), *flat_candidates(T, rng, 2)]]
+        cases.append((T, random_upper(T, rng), False))
+    runs = []
+    for T, f, lower in cases:
+        assert (check_lower_set if lower else check_upper_set)(T, f).holds
+        walk = hull_walk(T, f)
+        runs.append((T, f, lower, walk, lower and _check_f2(T, f, walk).holds))
+    calls, read = [], Counter()
+    call = LinFrac.__call__
+
+    def recorded(piece, x):
+        calls.append(x)
+        return call(piece, x)
+
+    monkeypatch.setattr(LinFrac, "__call__", recorded)
+    for T, f, lower, walk, f2_holds in runs:
+        points = walk[0]
+        mids = {(a + b) / 2 for (a, *_), (b, *_) in zip(points, points[1:])}
+        calls.clear()
+        assert _floor_report(*walk, lower) is None
+        if f2_holds:
+            assert _check_f2(T, f, walk).holds
+            read["F2"] += 1
+        assert mids.isdisjoint(calls), (T.describe(), f)
+        read["gaps"] += len(mids)
+        calls.clear()
+        hull_walk(T, f)  # the recording sees the walk read every midpoint
+        assert mids <= set(calls)
+    assert read["F2"] >= 40 and read["gaps"] >= 200, read
 
 
 def test_hull_walk_meets_the_identity_in_closed_form(monkeypatch):

@@ -60,6 +60,20 @@ class TestMakeTnorm:
     def test_touching_allowed(self):
         make_tnorm([(F(0), F(1, 2), "product"), (F(1, 2), F(1), "lukasiewicz")])
 
+    def test_int_endpoints_are_stored_as_fractions(self):
+        # the Lukasiewicz floor returns s.lo itself, so an int endpoint would leak out
+        luk, prod = SummandKind.LUKASIEWICZ, SummandKind.PRODUCT
+        for T, builtin_T in (
+            (make_tnorm([Summand(0, 1, luk)]), LUKASIEWICZ),
+            (make_tnorm([Summand(0, 1, prod)]), PRODUCT),
+            (make_tnorm([(0, 1, "lukasiewicz")]), LUKASIEWICZ),
+        ):
+            assert T == builtin_T
+            assert all(type(end) is F for s in T.summands for end in (s.lo, s.hi))
+            for x, y in ((F(1, 4), F(1, 4)), (F(3, 4), F(1, 2)), (F(1, 2), F(3, 4))):
+                for got, want in ((T.conj(x, y), builtin_T.conj(x, y)), (T.residuum(x, y), builtin_T.residuum(x, y))):
+                    assert got == want and type(got) is type(want) is F, (T.describe(), x, y)
+
 
 class TestClosedForms:
     def test_conj_examples(self, t4):
@@ -138,8 +152,8 @@ def reference_residuum(T, x, y, seen):
 def kernel_families():
     rng = random.Random(25)
     luk, prod = SummandKind.LUKASIEWICZ, SummandKind.PRODUCT
-    # int endpoints: the floor and the min region must hand back the very
-    # object the Fraction formulas returned, an int where they returned one
+    # int endpoints, which a Summand stores as Fractions: the floor and the
+    # min region must hand back the very object the Fraction formulas returned
     ints = make_tnorm([Summand(0, F(1, 2), luk), Summand(F(1, 2), 1, prod)])
     touching = make_tnorm([(F(1, 5), F(2, 5), luk), (F(2, 5), F(3, 5), prod), (F(3, 5), F(4, 5), luk)])
     yield from (GODEL, LUKASIEWICZ, PRODUCT, ints, touching)
